@@ -34,7 +34,6 @@ from .polyring import (
     IntPolynomial,
     PrecisionError,
     TruncatedSeries,
-    coefficient_at,
     complete_homogeneous,
     elementary_symmetric,
     format_terms,
@@ -83,7 +82,6 @@ __all__ = [
     "base_change",
     "caterpillar",
     "classify_intersection",
-    "coefficient_at",
     "complete_homogeneous",
     "count_gradation",
     "cross_validate",

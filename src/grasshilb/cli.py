@@ -181,6 +181,13 @@ def _positive_leaves(raw):
     return value
 
 
+def _job_count(raw):
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError("--jobs must be >= 1")
+    return value
+
+
 def _degree_cap(raw):
     value = int(raw)
     if value < 0:
@@ -253,9 +260,9 @@ def build_parser():
                         help="cross-validate all series methods")
     p.add_argument("--n", type=_positive_leaves, required=True)
     p.add_argument("--max-degree", type=_degree_cap, required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the oracle sweep "
-                        "(default: 1)")
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="worker processes for the oracle sweep, >= 1; "
+                        "at most one per CPU is started (default: 1)")
     p.set_defaults(func=cmd_verify_cross)
 
     p = vsub.add_parser("delpezzo", parents=[common],

@@ -47,23 +47,17 @@ class FitInconsistencyError(ValueError):
     the family."""
 
 
-def _check10(divisor):
+def _check_coords(divisor, size, what):
     divisor = tuple(divisor)
-    if len(divisor) != 10 or not all(isinstance(v, int) for v in divisor):
-        raise ValueError("expected 10 integer E_{i,j} coordinates")
-    return divisor
-
-
-def _check5(divisor):
-    divisor = tuple(divisor)
-    if len(divisor) != 5 or not all(isinstance(v, int) for v in divisor):
-        raise ValueError("expected 5 integer basis coordinates")
+    if len(divisor) != size or not all(isinstance(v, int) for v in divisor):
+        raise ValueError("expected %d integer %s coordinates" % (size, what))
     return divisor
 
 
 def base_change(divisor10):
     """Rewrite E_{i,j} coordinates in the 5-element Picard basis."""
-    a01, a02, a03, a04, a12, a13, a14, a23, a24, a34 = _check10(divisor10)
+    (a01, a02, a03, a04, a12,
+     a13, a14, a23, a24, a34) = _check_coords(divisor10, 10, "E_{i,j}")
     return (a01 + a23 + a24 + a34,
             a02 + a13 + a14 + a34,
             a03 - a13 - a23 - a34,
@@ -73,7 +67,7 @@ def base_change(divisor10):
 
 def kapranov_grading(divisor5):
     """Grading of W_5 at which chi of the divisor must appear."""
-    a01, a02, a03, a04, a12 = _check5(divisor5)
+    a01, a02, a03, a04, a12 = _check_coords(divisor5, 5, "basis")
     return (a01 + a02 + a03 + a04, a01, a02, a03 + a12, a04 + a12)
 
 
@@ -83,7 +77,7 @@ def euler_characteristic(divisor5):
     (D.D - K.D) must be even; if not, the basis bookkeeping is broken and
     ChiIntegralityError is raised rather than rounding.
     """
-    a01, a02, a03, a04, a12 = _check5(divisor5)
+    a01, a02, a03, a04, a12 = _check_coords(divisor5, 5, "basis")
     quad = (-a01 * a01 - a02 * a02 - a03 * a03 - a04 * a04 - a12 * a12
             + 2 * a12 * (a01 + a02))
     lin = a01 + a02 + a03 + a04 + a12
@@ -181,7 +175,7 @@ MONOMIAL_ORDER = tuple((i, j) for i in range(6) for j in range(i, 6))
 
 def quadratic_monomial_values(divisor5):
     """The 21 monomial values b_i b_j of a divisor, in MONOMIAL_ORDER."""
-    b = (1,) + _check5(divisor5)
+    b = (1,) + _check_coords(divisor5, 5, "basis")
     return tuple(b[i] * b[j] for i, j in MONOMIAL_ORDER)
 
 

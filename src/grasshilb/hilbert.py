@@ -22,14 +22,14 @@ coefficient and reports structured pass/fail results.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import polyring, semigroup, trees
-from .polyring import (IntPolynomial, TruncatedSeries, all_pairs,
-                       complete_homogeneous, elementary_symmetric,
-                       geometric_expand, iter_exponents,
+from .polyring import (IntPolynomial, all_pairs, complete_homogeneous,
+                       elementary_symmetric, geometric_expand, iter_exponents,
                        multiply_by_geometric_series, permute_variables)
 
 #: Largest excluded-configuration set inclusion-exclusion will expand
@@ -99,15 +99,13 @@ def series_by_recursion(n, max_total_degree):
     cap = max_total_degree
     if cap < 0:
         raise ValueError("max_total_degree must be non-negative")
-    terms = {(k, k): 1 for k in range(cap // 2 + 1)}
-    num_vars = 2
-    while num_vars < n:
-        terms = _split_last_variable(terms)
-        num_vars += 1
-        series = TruncatedSeries(num_vars, cap, terms)
-        series = multiply_by_geometric_series(series, (num_vars - 1, num_vars))
-        terms = series.terms
-    return TruncatedSeries(n, cap, terms)
+    series = IntPolynomial._trusted(
+        2, {(k, k): 1 for k in range(cap // 2 + 1)}, cap)
+    for num_vars in range(3, n + 1):
+        split = IntPolynomial._trusted(
+            num_vars, _split_last_variable(series.terms), cap)
+        series = multiply_by_geometric_series(split, (num_vars - 1, num_vars))
+    return series
 
 
 def _split_last_variable(terms):
@@ -160,6 +158,8 @@ def numerator_inclusion_exclusion(n, tree=None):
     directly.  Each subset S contributes (-1)^|S| times the product of
     z_i z_j over the distinct pairs appearing in S.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if tree is not None:
         if tree.n_leaves != n:
             raise polyring.DimensionError(
@@ -194,7 +194,8 @@ def numerator_inclusion_exclusion(n, tree=None):
             acc[key] = s
         else:
             del acc[key]
-    return NumeratorResult(n, IntPolynomial(n, acc), "inclusion-exclusion")
+    return NumeratorResult(n, IntPolynomial._trusted(n, acc),
+                           "inclusion-exclusion")
 
 
 def series_from_numerator(numerator, max_total_degree):
@@ -239,9 +240,7 @@ def numerator_symmetric_recursion(n):
     poly = zero
     for t, c in enumerate(coeffs):
         if not c.is_zero():
-            exps = [0] * n
-            exps[n - 1] = t
-            poly = poly + c * IntPolynomial.monomial(n, exps)
+            poly = poly + c * _power_of_variable(n, n, t)
     return NumeratorResult(n, poly, "symmetric-recursion")
 
 
@@ -283,9 +282,7 @@ def _symmetric_step(coeffs, stage, n, size):
                     term = sig(alpha) * H(k + beta - alpha, beta)
                     inner = inner + (term if alpha % 2 == 0 else -term)
                 if not inner.is_zero():
-                    exps = [0] * n
-                    exps[attach - 1] = beta
-                    acc = acc + inner * IntPolynomial.monomial(n, exps)
+                    acc = acc + inner * _power_of_variable(n, attach, beta)
             a_cache[(k, l)] = acc
         return a_cache[(k, l)]
 
@@ -311,7 +308,15 @@ def _pad(poly, n):
         raise polyring.DimensionError("cannot shrink variable count")
     if extra == 0:
         return poly
-    return IntPolynomial(n, {e + (0,) * extra: c for e, c in poly.terms.items()})
+    return IntPolynomial._trusted(
+        n, {e + (0,) * extra: c for e, c in poly.terms.items()})
+
+
+def _power_of_variable(n, index, power):
+    """z_index^power in n variables."""
+    exps = [0] * n
+    exps[index - 1] = power
+    return IntPolynomial._trusted(n, {tuple(exps): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +391,25 @@ def _series_check(name, reference, build):
     raise AssertionError("unreachable")
 
 
+def _pool_size(jobs, cpus):
+    """Worker processes for `jobs` requested on `cpus` CPUs (None when
+    unknown, as os.cpu_count() may report): never more than one per CPU."""
+    return min(jobs, cpus or 1)
+
+
 def _oracle_check(reference, jobs):
     n = reference.num_vars
     cap = reference.max_total_degree
     lams = list(iter_exponents(n, cap))
     counts = None
-    if jobs > 1:
+    workers = _pool_size(jobs, os.cpu_count())
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                counts = list(pool.map(_oracle_count,
-                                       [(n, lam) for lam in lams],
-                                       chunksize=max(1, len(lams) // (jobs * 8))))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                counts = list(pool.map(
+                    _oracle_count, [(n, lam) for lam in lams],
+                    chunksize=max(1, len(lams) // (workers * 8))))
         except (OSError, PermissionError):
             counts = None
     if counts is None:

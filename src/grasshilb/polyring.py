@@ -1,9 +1,11 @@
 """Exact sparse polynomials and truncated power series over the integers.
 
-Terms are dicts mapping exponent tuples to nonzero Python ints, so
-coefficients never overflow and nothing is ever rounded.  Series are
-truncated by *total* degree: a TruncatedSeries with cap D carries every
-coefficient of total degree <= D exactly and refuses to answer beyond D.
+One term store, IntPolynomial, holds both.  Terms are dicts mapping
+exponent tuples to nonzero Python ints, so coefficients never overflow
+and nothing is ever rounded.  A store with a total-degree cap
+(``max_total_degree``) is a TruncatedSeries; sums and products keep the
+smaller cap.  Terms are checked where they enter from outside (the
+public constructors and from_json_dict), not on every internal result.
 
 Canonical term order (used for printing and serialization): ascending
 total degree, ties broken by descending lexicographic order on the
@@ -54,18 +56,32 @@ def _canonical_key(exps):
     return (sum(exps), tuple(-e for e in exps))
 
 
-def _validated_terms(num_vars, terms):
+def _check_sizes(num_vars, cap=None):
+    if num_vars < 0:
+        raise ValueError("num_vars must be non-negative")
+    if cap is not None and cap < 0:
+        raise ValueError("max_total_degree must be non-negative")
+
+
+def _validated_terms(num_vars, terms, cap):
+    """Check terms arriving from outside the store; zeros are dropped."""
+    _check_sizes(num_vars, cap)
     out = {}
     for exps, coeff in terms.items():
         exps = tuple(exps)
         if len(exps) != num_vars:
             raise DimensionError(
                 "exponent tuple %r does not have %d entries" % (exps, num_vars))
+        if not all(isinstance(e, int) for e in exps):
+            raise TypeError("exponent tuple %r has a non-int entry" % (exps,))
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent in %r" % (exps,))
         if not isinstance(coeff, int):
             raise TypeError("coefficient %r is not an int" % (coeff,))
         if coeff:
+            if cap is not None and sum(exps) > cap:
+                raise PrecisionError(
+                    "term of degree %d exceeds cap %d" % (sum(exps), cap))
             out[exps] = out.get(exps, 0) + coeff
             if not out[exps]:
                 del out[exps]
@@ -73,54 +89,72 @@ def _validated_terms(num_vars, terms):
 
 
 # ---------------------------------------------------------------------------
-# polynomial
+# the term store
 
 
 class IntPolynomial:
     """Sparse multivariate polynomial with arbitrary-precision integer
-    coefficients.  Instances are treated as immutable."""
+    coefficients; with a total-degree cap, a truncated series.  Instances
+    are treated as immutable."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "max_total_degree", "terms")
 
     def __init__(self, num_vars, terms=None):
-        if num_vars < 0:
-            raise ValueError("num_vars must be non-negative")
+        self._fill(num_vars, None,
+                   _validated_terms(num_vars, terms or {}, None))
+
+    def _fill(self, num_vars, cap, terms):
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", _validated_terms(num_vars, terms or {}))
+        object.__setattr__(self, "max_total_degree", cap)
+        object.__setattr__(self, "terms", terms)
+
+    @staticmethod
+    def _trusted(num_vars, terms, cap=None):
+        """A store over terms already known to be valid for `num_vars`
+        and `cap`; a TruncatedSeries when `cap` is not None."""
+        obj = object.__new__(IntPolynomial if cap is None else TruncatedSeries)
+        obj._fill(num_vars, cap, terms)
+        return obj
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     # -- constructors
 
-    @classmethod
-    def zero(cls, num_vars):
-        return cls(num_vars, {})
+    @staticmethod
+    def zero(num_vars):
+        return IntPolynomial(num_vars, {})
 
-    @classmethod
-    def one(cls, num_vars):
-        return cls(num_vars, {(0,) * num_vars: 1})
+    @staticmethod
+    def one(num_vars):
+        return IntPolynomial(num_vars, {(0,) * num_vars: 1})
 
-    @classmethod
-    def monomial(cls, num_vars, exps, coeff=1):
-        return cls(num_vars, {tuple(exps): coeff})
+    @staticmethod
+    def monomial(num_vars, exps, coeff=1):
+        return IntPolynomial(num_vars, {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, num_vars, index):
+    @staticmethod
+    def variable(num_vars, index):
         """The variable z_index, 1-indexed."""
         if not 1 <= index <= num_vars:
             raise DimensionError("variable index %d out of range" % index)
         exps = [0] * num_vars
         exps[index - 1] = 1
-        return cls.monomial(num_vars, exps)
+        return IntPolynomial.monomial(num_vars, exps)
 
     # -- queries
 
     def coefficient(self, exps):
+        """Coefficient of z^exps.  For a series this raises PrecisionError
+        beyond the cap instead of returning 0."""
         exps = tuple(exps)
         if len(exps) != self.num_vars:
             raise DimensionError("grading has %d entries, expected %d"
                                  % (len(exps), self.num_vars))
+        cap = self.max_total_degree
+        if cap is not None and sum(exps) > cap:
+            raise PrecisionError(
+                "degree %d is beyond the series cap %d" % (sum(exps), cap))
         return self.terms.get(exps, 0)
 
     def total_degree(self):
@@ -132,41 +166,51 @@ class IntPolynomial:
 
     # -- arithmetic
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """The terms of `other` (an int or a store in as many variables)
+        and the cap of the result; None when `other` is neither."""
         if isinstance(other, int):
-            return IntPolynomial(self.num_vars, {(0,) * self.num_vars: other})
-        return other
+            constant = {(0,) * self.num_vars: other} if other else {}
+            return constant, self.max_total_degree
+        if not isinstance(other, IntPolynomial):
+            return None
+        if other.num_vars != self.num_vars:
+            raise DimensionError("operands have %d and %d variables"
+                                 % (self.num_vars, other.num_vars))
+        caps = [c for c in (self.max_total_degree, other.max_total_degree)
+                if c is not None]
+        return other.terms, min(caps, default=None)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if isinstance(other, TruncatedSeries):
-            return other + self
-        if not isinstance(other, IntPolynomial):
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        _check_vars(self, other)
-        return IntPolynomial(self.num_vars, _merge(self.terms, other.terms, 1))
+        terms, cap = operand
+        merged = _merge(self.terms, terms)
+        if cap is not None:
+            merged = _truncated(merged, cap)
+        return IntPolynomial._trusted(self.num_vars, merged, cap)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return (-self) + other
 
     def __neg__(self):
-        return IntPolynomial(self.num_vars,
-                             {e: -c for e, c in self.terms.items()})
+        return IntPolynomial._trusted(
+            self.num_vars, {e: -c for e, c in self.terms.items()},
+            self.max_total_degree)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if isinstance(other, TruncatedSeries):
-            return other * self
-        if not isinstance(other, IntPolynomial):
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        _check_vars(self, other)
-        return IntPolynomial(self.num_vars,
-                             _multiply(self.terms, other.terms, None))
+        terms, cap = operand
+        return IntPolynomial._trusted(
+            self.num_vars, _multiply(self.terms, terms, cap), cap)
 
     __rmul__ = __mul__
 
@@ -180,21 +224,21 @@ class IntPolynomial:
 
     def __eq__(self, other):
         return (isinstance(other, IntPolynomial)
-                and not isinstance(other, TruncatedSeries)
                 and self.num_vars == other.num_vars
+                and self.max_total_degree == other.max_total_degree
                 and self.terms == other.terms)
 
-    def __ne__(self, other):
-        return not self == other
-
     def __repr__(self):
-        return "IntPolynomial(%d, %s)" % (self.num_vars, format_terms(self.terms))
+        if self.max_total_degree is None:
+            return "IntPolynomial(%d, %s)" % (self.num_vars, self)
+        return "TruncatedSeries(%d, %d, %s terms)" % (
+            self.num_vars, self.max_total_degree, len(self.terms))
 
     def __str__(self):
         return format_terms(self.terms)
 
 
-class TruncatedSeries:
+class TruncatedSeries(IntPolynomial):
     """Power series known exactly through a total-degree cap.
 
     The invariant is strict: every stored term has total degree <= cap and
@@ -203,107 +247,17 @@ class TruncatedSeries:
     PrecisionError rather than returning a misleading 0.
     """
 
-    __slots__ = ("num_vars", "max_total_degree", "terms")
+    __slots__ = ()
 
     def __init__(self, num_vars, max_total_degree, terms=None):
-        if num_vars < 0:
-            raise ValueError("num_vars must be non-negative")
-        if max_total_degree < 0:
-            raise ValueError("max_total_degree must be non-negative")
-        cleaned = _validated_terms(num_vars, terms or {})
-        for e in cleaned:
-            if sum(e) > max_total_degree:
-                raise PrecisionError(
-                    "term of degree %d exceeds cap %d" % (sum(e), max_total_degree))
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "max_total_degree", max_total_degree)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def one(cls, num_vars, max_total_degree):
-        return cls(num_vars, max_total_degree, {(0,) * num_vars: 1})
-
-    def coefficient(self, exps):
-        exps = tuple(exps)
-        if len(exps) != self.num_vars:
-            raise DimensionError("grading has %d entries, expected %d"
-                                 % (len(exps), self.num_vars))
-        if sum(exps) > self.max_total_degree:
-            raise PrecisionError(
-                "degree %d is beyond the series cap %d" % (sum(exps), self.max_total_degree))
-        return self.terms.get(exps, 0)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial(self.num_vars, {(0,) * self.num_vars: other})
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        cap = _combined_cap(self, other)
-        _check_vars(self, other)
-        merged = _merge(self.terms, other.terms, 1)
-        return TruncatedSeries(self.num_vars, cap, _truncated(merged, cap))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __neg__(self):
-        return TruncatedSeries(self.num_vars, self.max_total_degree,
-                               {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        cap = _combined_cap(self, other)
-        _check_vars(self, other)
-        return TruncatedSeries(self.num_vars, cap,
-                               _multiply(self.terms, other.terms, cap))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.num_vars == other.num_vars
-                and self.max_total_degree == other.max_total_degree
-                and self.terms == other.terms)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __repr__(self):
-        return "TruncatedSeries(%d, %d, %s terms)" % (
-            self.num_vars, self.max_total_degree, len(self.terms))
-
-    def __str__(self):
-        return format_terms(self.terms)
+        self._fill(num_vars, max_total_degree,
+                   _validated_terms(num_vars, terms or {}, max_total_degree))
 
 
-def _check_vars(a, b):
-    if a.num_vars != b.num_vars:
-        raise DimensionError("operands have %d and %d variables"
-                             % (a.num_vars, b.num_vars))
-
-
-def _combined_cap(a, b):
-    caps = [x.max_total_degree for x in (a, b) if isinstance(x, TruncatedSeries)]
-    return min(caps)
-
-
-def _merge(terms_a, terms_b, sign):
+def _merge(terms_a, terms_b):
     out = dict(terms_a)
     for e, c in terms_b.items():
-        s = out.get(e, 0) + sign * c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -319,9 +273,7 @@ def _multiply(terms_a, terms_b, cap):
     if len(terms_a) > len(terms_b):
         terms_a, terms_b = terms_b, terms_a
     out = {}
-    degs_b = None
-    if cap is not None:
-        degs_b = {e: sum(e) for e in terms_b}
+    degs_b = None if cap is None else {e: sum(e) for e in terms_b}
     for ea, ca in terms_a.items():
         da = sum(ea)
         for eb, cb in terms_b.items():
@@ -339,11 +291,14 @@ def _multiply(terms_a, terms_b, cap):
 def truncate(obj, max_total_degree):
     """Truncate a polynomial or series to the given total-degree cap,
     returning a TruncatedSeries."""
-    if isinstance(obj, TruncatedSeries) and obj.max_total_degree < max_total_degree:
+    cap = obj.max_total_degree
+    _check_sizes(obj.num_vars, max_total_degree)
+    if cap is not None and cap < max_total_degree:
         raise PrecisionError("cannot extend a series from cap %d to %d"
-                             % (obj.max_total_degree, max_total_degree))
-    return TruncatedSeries(obj.num_vars, max_total_degree,
-                           _truncated(obj.terms, max_total_degree))
+                             % (cap, max_total_degree))
+    return IntPolynomial._trusted(obj.num_vars,
+                                  _truncated(obj.terms, max_total_degree),
+                                  max_total_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -394,57 +349,48 @@ def geometric_expand(pairs, num_vars, max_total_degree):
     sum of vectors e_i + e_j with multiplicity, one multiplicity per pair.
     An empty pair list gives the constant series 1.
     """
+    _check_sizes(num_vars, max_total_degree)
     for p in pairs:
         _validate_pair(p, num_vars)
     terms = {(0,) * num_vars: 1}
     for p in pairs:
         terms = _geometric_sweep(terms, num_vars, p, max_total_degree)
-    return TruncatedSeries(num_vars, max_total_degree, terms)
+    return IntPolynomial._trusted(num_vars, terms, max_total_degree)
 
 
 def multiply_by_geometric_series(series, pair):
     """series / (1 - z_i z_j), exact through the cap of `series`."""
     terms = _geometric_sweep(series.terms, series.num_vars, pair,
                              series.max_total_degree)
-    return TruncatedSeries(series.num_vars, series.max_total_degree, terms)
+    return IntPolynomial._trusted(series.num_vars, terms,
+                                  series.max_total_degree)
+
+
+def _sum_of_choices(num_vars, degree, choose):
+    """Sum of z_k1 * ... * z_kd over the index tuples that
+    choose(range(num_vars), degree) yields; 0 when degree < 0."""
+    if degree < 0:
+        return IntPolynomial.zero(num_vars)
+    _check_sizes(num_vars)
+    terms = {}
+    for choice in choose(range(num_vars), degree):
+        e = [0] * num_vars
+        for k in choice:
+            e[k] += 1
+        terms[tuple(e)] = 1
+    return IntPolynomial._trusted(num_vars, terms)
 
 
 def elementary_symmetric(num_vars, degree):
     """The elementary symmetric polynomial sigma_degree in num_vars
     variables; 1 when degree == 0, 0 when degree < 0 or degree > num_vars."""
-    if degree < 0:
-        return IntPolynomial.zero(num_vars)
-    if degree == 0:
-        return IntPolynomial.one(num_vars)
-    terms = {}
-    for subset in combinations(range(num_vars), degree):
-        e = [0] * num_vars
-        for k in subset:
-            e[k] = 1
-        terms[tuple(e)] = 1
-    return IntPolynomial(num_vars, terms)
+    return _sum_of_choices(num_vars, degree, combinations)
 
 
 def complete_homogeneous(num_vars, degree):
     """The complete homogeneous symmetric polynomial h_degree in num_vars
     variables; 1 when degree == 0, 0 when degree < 0."""
-    if degree < 0:
-        return IntPolynomial.zero(num_vars)
-    if degree == 0:
-        return IntPolynomial.one(num_vars)
-    terms = {}
-    for choice in combinations_with_replacement(range(num_vars), degree):
-        e = [0] * num_vars
-        for k in choice:
-            e[k] += 1
-        terms[tuple(e)] = 1
-    return IntPolynomial(num_vars, terms)
-
-
-def coefficient_at(obj, exps):
-    """Coefficient of z^exps in a polynomial or series.  For series this
-    raises PrecisionError beyond the cap instead of returning 0."""
-    return obj.coefficient(exps)
+    return _sum_of_choices(num_vars, degree, combinations_with_replacement)
 
 
 def permute_variables(obj, perm):
@@ -464,9 +410,7 @@ def permute_variables(obj, perm):
         for idx in range(n):
             ne[perm[idx] - 1] = e[idx]
         new_terms[tuple(ne)] = c
-    if isinstance(obj, TruncatedSeries):
-        return TruncatedSeries(n, obj.max_total_degree, new_terms)
-    return IntPolynomial(n, new_terms)
+    return IntPolynomial._trusted(n, new_terms, obj.max_total_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +455,20 @@ def format_terms(terms):
 def to_json_dict(obj):
     """Serialize a polynomial or series.  Coefficients become decimal
     strings because they may exceed 64 bits."""
-    cap = obj.max_total_degree if isinstance(obj, TruncatedSeries) else None
     return {
         "num_vars": obj.num_vars,
-        "max_total_degree": cap,
+        "max_total_degree": obj.max_total_degree,
         "terms": [{"e": list(e), "c": str(obj.terms[e])}
                   for e in sorted(obj.terms, key=_canonical_key)],
     }
 
 
 def from_json_dict(data):
-    """Inverse of to_json_dict."""
-    terms = {tuple(item["e"]): int(item["c"]) for item in data["terms"]}
+    """Inverse of to_json_dict.  Coefficients are decimal strings; any
+    other non-int coefficient is rejected, not rounded."""
+    terms = {tuple(item["e"]): (int(item["c"]) if isinstance(item["c"], str)
+                                else item["c"])
+             for item in data["terms"]}
     cap = data.get("max_total_degree")
     if cap is None:
         return IntPolynomial(data["num_vars"], terms)

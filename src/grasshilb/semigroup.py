@@ -118,7 +118,9 @@ def decompose(tree, values):
             raise NotInSemigroupError("negative value %d on edge %d" % (v, k))
     counts = _decompose(tree, values)
     result = PathMultiset.from_dict(counts)
-    assert result.edge_vector(tree) == values
+    if result.edge_vector(tree) != values:
+        raise AssertionError("decomposition %r does not add up to %r"
+                             % (result.as_dict(), values))
     return result
 
 
@@ -146,7 +148,9 @@ def _decompose(tree, values):
     x2 = values[tree.leaf_edge(l2) - 1]
     third = [eidx for eidx in tree.incident_edges(vertex)
              if eidx not in (tree.leaf_edge(l1), tree.leaf_edge(l2))]
-    assert len(third) == 1
+    if len(third) != 1:
+        raise AssertionError("cherry vertex %d has %d non-leaf edges"
+                             % (vertex, len(third)))
     xv = values[third[0] - 1]
     twice = x1 + x2 - xv
     if twice % 2:
@@ -184,7 +188,10 @@ def _decompose(tree, values):
             pair = (oi, oj) if oi < oj else (oj, oi)
             counts[pair] = counts.get(pair, 0) + mult
     through.sort()
-    assert len(through) == y1 + y2
+    if len(through) != y1 + y2:
+        raise AssertionError(
+            "cherry (%d, %d): %d through-paths lifted, expected %d"
+            % (l1, l2, len(through), y1 + y2))
     for pos, other in enumerate(through):
         old = leaf_map[other]
         target = l1 if pos < y1 else l2

@@ -221,7 +221,8 @@ class Tree:
                 new_leaf_vertices.append(self.leaf_vertices[leaf_map[new] - 1])
         leaf_map[l1] = None  # the collapsed cherry vertex
         sub = Tree(n - 1, new_edges, new_leaf_vertices, kind="general")
-        assert not drop_vertices & set(new_leaf_vertices)
+        if drop_vertices & set(new_leaf_vertices):
+            raise AssertionError("peeled leaf vertex kept as a leaf")
         return sub, leaf_map, edge_numbers
 
     def __repr__(self):

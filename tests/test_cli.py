@@ -229,6 +229,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["series", "--n", "1", "--max-degree", "4"])
     assert info.value.code == 2
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "cross", "--n", "4", "--max-degree", "4",
+                  "--jobs", jobs])
+        assert info.value.code == 2
 
 
 def test_console_entry_point():

@@ -9,6 +9,7 @@ from grasshilb.fixtures import GOLDEN_RANGE, golden_numerator
 from grasshilb.hilbert import (
     EXC_LIMIT,
     CapacityError,
+    _pool_size,
     cross_validate,
     embracing_configurations,
     excluded_configurations,
@@ -178,6 +179,14 @@ def test_cross_validate_deterministic_across_jobs():
     serial = cross_validate(4, 8, jobs=1)
     parallel = cross_validate(4, 8, jobs=3)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_pool_size_never_exceeds_cpu_count():
+    assert _pool_size(1, 8) == 1
+    assert _pool_size(3, 8) == 3
+    assert _pool_size(3, 2) == 2
+    assert _pool_size(10 ** 6, 2) == 2
+    assert _pool_size(4, None) == 1
 
 
 def test_cross_validate_detects_corruption(monkeypatch):

@@ -10,7 +10,6 @@ from grasshilb.polyring import (
     PrecisionError,
     TruncatedSeries,
     all_pairs,
-    coefficient_at,
     complete_homogeneous,
     elementary_symmetric,
     format_terms,
@@ -149,10 +148,17 @@ def test_truncated_series_cap_invariant():
 
 
 def test_series_ops_take_min_cap():
-    a = TruncatedSeries(2, 6, {(0, 0): 1})
+    a = TruncatedSeries(2, 6, {(0, 0): 1, (3, 3): 2})
     b = TruncatedSeries(2, 4, {(1, 1): 1})
-    assert (a + b).max_total_degree == 4
+    assert a + b == TruncatedSeries(2, 4, {(0, 0): 1, (1, 1): 1})
     assert (a * b).max_total_degree == 4
+    p = IntPolynomial(2, {(0, 0): 3, (2, 2): 1})
+    for mixed in (p + b, b + p, p * b, b * p, b - p, 1 + b):
+        assert isinstance(mixed, TruncatedSeries)
+        assert mixed.max_total_degree == 4
+    assert (p + 1).max_total_degree is None
+    assert not isinstance(p * p, TruncatedSeries)
+    assert p != TruncatedSeries(2, 4, p.terms)
 
 
 def test_geometric_expand_single_pair():
@@ -211,10 +217,12 @@ def test_permute_variables_series():
 
 def test_coefficient_at():
     s = geometric_expand([(1, 2)], 2, 6)
-    assert coefficient_at(s, [2, 2]) == 1
+    assert s.coefficient([2, 2]) == 1
+    with pytest.raises(PrecisionError):
+        s.coefficient((4, 4))
     p = IntPolynomial(2, {(1, 1): -4})
-    assert coefficient_at(p, (1, 1)) == -4
-    assert coefficient_at(p, (5, 5)) == 0
+    assert p.coefficient((1, 1)) == -4
+    assert p.coefficient((5, 5)) == 0
 
 
 def test_json_round_trip_polynomial():
@@ -224,6 +232,25 @@ def test_json_round_trip_polynomial():
     assert data["max_total_degree"] is None
     assert data["terms"][1]["c"] == str(-big)
     assert from_json_dict(data) == p
+
+
+@pytest.mark.parametrize("exps, coeff, error", [
+    ((1.5, 0), 1, TypeError),
+    ((1, 0, 0), 1, DimensionError),
+    ((-1, 0), 1, ValueError),
+    ((1, 0), 1.5, TypeError),
+])
+def test_terms_checked_at_the_boundary(exps, coeff, error):
+    with pytest.raises(error):
+        IntPolynomial(2, {exps: coeff})
+    with pytest.raises(error):
+        TruncatedSeries(2, 4, {exps: coeff})
+    json_coeff = str(coeff) if isinstance(coeff, int) else coeff
+    for cap in (None, 4):
+        data = {"num_vars": 2, "max_total_degree": cap,
+                "terms": [{"e": list(exps), "c": json_coeff}]}
+        with pytest.raises(error):
+            from_json_dict(data)
 
 
 def test_json_round_trip_series():

@@ -1,10 +1,15 @@
 """Path semigroup: decomposition, membership, gradations, the oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import grasshilb
 from grasshilb.semigroup import (
     NotInSemigroupError,
     PathMultiset,
@@ -70,6 +75,24 @@ def test_decompose_error_diagnostics():
         decompose(t, [-1, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         decompose(t, [1, 1, 1])
+
+
+def test_decompose_self_check_survives_optimize():
+    # python -O strips assert statements; the re-sum check must still run
+    script = "\n".join([
+        "from grasshilb import semigroup, trees",
+        "semigroup._decompose = lambda tree, values: {(1, 2): 5}",
+        "try:",
+        "    semigroup.decompose(trees.caterpillar(4), [1, 1, 2, 1, 1])",
+        "except AssertionError:",
+        "    raise SystemExit(0)",
+        "raise SystemExit(1)",
+    ])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grasshilb.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_is_member():
