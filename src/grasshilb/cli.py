@@ -12,7 +12,8 @@ Subcommands:
   fixtures    built-in golden numerators n=2..5
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse error, 3 capacity exceeded.
+1 verification failure, 2 usage or parse error, 3 capacity exceeded,
+4 internal error (the traceback goes to stderr).
 Output is deterministic byte-for-byte, including under --jobs.
 """
 
@@ -297,6 +298,13 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except Exception:
+        # a failed self-check or a bug, never a verdict on the input;
+        # traceback is imported here to keep it off the start-up path
+        import traceback
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

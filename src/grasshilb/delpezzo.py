@@ -139,18 +139,24 @@ class DelPezzoReport:
                 "entries": [e.to_json_dict() for e in self.entries]}
 
 
-def verify_against_series(series):
-    """Compare chi with the W_5 coefficient for every family divisor.
-
-    `series` must be W_5 with cap >= 24; smaller caps raise
-    PrecisionError up front instead of misreading absent terms as zeros.
-    """
+def _check_series(series):
+    """Require a 5-variable series exact through the family's top degree,
+    so absent terms are never misread as zeros."""
     if series.num_vars != 5:
         raise ValueError("expected a 5-variable series")
     if series.max_total_degree < GRADING_CAP:
         raise PrecisionError(
             "series cap %d is below the family's top degree %d"
             % (series.max_total_degree, GRADING_CAP))
+
+
+def verify_against_series(series):
+    """Compare chi with the W_5 coefficient for every family divisor.
+
+    `series` must be W_5 with cap >= 24; smaller caps raise
+    PrecisionError up front instead of misreading absent terms as zeros.
+    """
+    _check_series(series)
     entries = []
     for d10 in divisor_family():
         d5 = base_change(d10)
@@ -213,12 +219,7 @@ def fit_quadratic_form(series):
     Raises FamilyRankError if the family does not pin the form down and
     FitInconsistencyError if no quadratic form matches.
     """
-    if series.num_vars != 5:
-        raise ValueError("expected a 5-variable series")
-    if series.max_total_degree < GRADING_CAP:
-        raise PrecisionError(
-            "series cap %d is below the family's top degree %d"
-            % (series.max_total_degree, GRADING_CAP))
+    _check_series(series)
     rows = {}
     for d10 in divisor_family():
         d5 = base_change(d10)

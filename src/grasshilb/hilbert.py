@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import polyring, semigroup, trees
@@ -97,10 +98,7 @@ def series_by_recursion(n, max_total_degree):
     if n < 2:
         raise ValueError("need n >= 2")
     cap = max_total_degree
-    if cap < 0:
-        raise ValueError("max_total_degree must be non-negative")
-    series = IntPolynomial._trusted(
-        2, {(k, k): 1 for k in range(cap // 2 + 1)}, cap)
+    series = geometric_expand([(1, 2)], 2, cap)
     for num_vars in range(3, n + 1):
         split = IntPolynomial._trusted(
             num_vars, _split_last_variable(series.terms), cap)
@@ -199,11 +197,14 @@ def numerator_inclusion_exclusion(n, tree=None):
 
 
 def series_from_numerator(numerator, max_total_degree):
-    """Expand numerator / prod_{i<j} (1 - z_i z_j) through the cap."""
+    """Expand numerator / prod_{i<j} (1 - z_i z_j) through the cap,
+    dividing by one pair factor at a time.  A numerator that is itself a
+    series must be exact through the cap (PrecisionError otherwise)."""
     poly = getattr(numerator, "polynomial", numerator)
-    n = poly.num_vars
-    denom = geometric_expand(all_pairs(n), n, max_total_degree)
-    return poly * denom
+    series = polyring.truncate(poly, max_total_degree)
+    for pair in all_pairs(series.num_vars):
+        series = multiply_by_geometric_series(series, pair)
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -247,44 +248,34 @@ def numerator_symmetric_recursion(n):
 def _symmetric_step(coeffs, stage, n, size):
     v = stage - 2          # symmetric polynomials in z_1..z_v
     attach = stage - 1     # powers of z_attach carry the beta sum
-    sigma = {}
-    h_cache = {}
 
+    @cache
     def sig(k):
-        if k not in sigma:
-            sigma[k] = _pad(elementary_symmetric(v, k), n)
-        return sigma[k]
+        return _pad(elementary_symmetric(v, k), n)
 
+    @cache
     def hom(k):
-        if k not in h_cache:
-            h_cache[k] = _pad(complete_homogeneous(v, k), n)
-        return h_cache[k]
+        return _pad(complete_homogeneous(v, k), n)
 
-    big_h = {}
-
+    @cache
     def H(s, l):
-        if (s, l) not in big_h:
-            acc = IntPolynomial.zero(n)
-            for r in range(l + 1):
-                term = hom(s - r) * sig(r)
-                acc = acc + (term if r % 2 == 0 else -term)
-            big_h[(s, l)] = acc
-        return big_h[(s, l)]
+        acc = IntPolynomial.zero(n)
+        for r in range(l + 1):
+            term = hom(s - r) * sig(r)
+            acc = acc + (term if r % 2 == 0 else -term)
+        return acc
 
-    a_cache = {}
-
+    @cache
     def a_poly(k, l):
-        if (k, l) not in a_cache:
-            acc = IntPolynomial.zero(n)
-            for beta in range(v):
-                inner = IntPolynomial.zero(n)
-                for alpha in range(k + l + 1):
-                    term = sig(alpha) * H(k + beta - alpha, beta)
-                    inner = inner + (term if alpha % 2 == 0 else -term)
-                if not inner.is_zero():
-                    acc = acc + inner * _power_of_variable(n, attach, beta)
-            a_cache[(k, l)] = acc
-        return a_cache[(k, l)]
+        acc = IntPolynomial.zero(n)
+        for beta in range(v):
+            inner = IntPolynomial.zero(n)
+            for alpha in range(k + l + 1):
+                term = sig(alpha) * H(k + beta - alpha, beta)
+                inner = inner + (term if alpha % 2 == 0 else -term)
+            if not inner.is_zero():
+                acc = acc + inner * _power_of_variable(n, attach, beta)
+        return acc
 
     occupied = [i for i, c in enumerate(coeffs) if not c.is_zero()]
     new = []

@@ -57,10 +57,15 @@ def _canonical_key(exps):
 
 
 def _check_sizes(num_vars, cap=None):
+    if not isinstance(num_vars, int):
+        raise TypeError("num_vars %r is not an int" % (num_vars,))
     if num_vars < 0:
         raise ValueError("num_vars must be non-negative")
-    if cap is not None and cap < 0:
-        raise ValueError("max_total_degree must be non-negative")
+    if cap is not None:
+        if not isinstance(cap, int):
+            raise TypeError("max_total_degree %r is not an int" % (cap,))
+        if cap < 0:
+            raise ValueError("max_total_degree must be non-negative")
 
 
 def _validated_terms(num_vars, terms, cap):

@@ -20,6 +20,7 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .trees import Tree, classify_intersection
 
@@ -234,12 +235,13 @@ def gradation(tree, values):
     return tuple(values[tree.leaf_edge(i) - 1] for i in range(1, tree.n_leaves + 1))
 
 
-def count_gradation(n, lam):
+def _walk_multisets(n, lam, conflicts, found=None):
     """Number of multisets of pairs (i, j), i < j <= n, whose grading sum
-    is lam and in which no pair embraces another (i < i' < j' < j).
+    is lam, built pair by pair in lexicographic order.
 
-    Pure lattice combinatorics, independent of any tree or series; this is
-    the oracle the series methods are checked against.
+    The chosen pairs are held in a pair -> multiplicity dict; a pair is
+    added only when conflicts(chosen, pair) is false.  found(chosen), when
+    given, is called on every complete multiset.
     """
     lam = tuple(lam)
     if len(lam) != n:
@@ -249,45 +251,53 @@ def count_gradation(n, lam):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     npairs = len(pairs)
     residual = list(lam)
-    chosen = []
-
-    def first_nonzero():
-        for k, v in enumerate(residual):
-            if v:
-                return k + 1
-        return None
-
-    def conflicts(i, j):
-        for (a, b) in chosen:
-            if (a < i and j < b) or (i < a and b < j):
-                return True
-        return False
+    chosen = {}
 
     def rec(t):
-        f = first_nonzero()
-        if f is None:
+        for f, v in enumerate(residual, 1):
+            if v:
+                break
+        else:
+            if found is not None:
+                found(chosen)
             return 1
         while t < npairs and pairs[t][0] < f:
             t += 1
         if t == npairs or pairs[t][0] > f:
             return 0
-        i, j = pairs[t]
+        pair = i, j = pairs[t]
         total = rec(t + 1)
         m_max = min(residual[i - 1], residual[j - 1])
-        if m_max > 0 and not conflicts(i, j):
-            chosen.append((i, j))
-            used = 0
-            for _ in range(m_max):
+        if m_max > 0 and not conflicts(chosen, pair):
+            for m in range(1, m_max + 1):
                 residual[i - 1] -= 1
                 residual[j - 1] -= 1
-                used += 1
+                chosen[pair] = m
                 total += rec(t + 1)
-            residual[i - 1] += used
-            residual[j - 1] += used
-            chosen.pop()
+            residual[i - 1] += m_max
+            residual[j - 1] += m_max
+            del chosen[pair]
         return total
 
     return rec(0)
+
+
+def _embraces(chosen, pair):
+    i, j = pair
+    for a, b in chosen:
+        if (a < i and j < b) or (i < a and b < j):
+            return True
+    return False
+
+
+def count_gradation(n, lam):
+    """Number of multisets of pairs (i, j), i < j <= n, whose grading sum
+    is lam and in which no pair embraces another (i < i' < j' < j).
+
+    Pure lattice combinatorics, independent of any tree or series; this is
+    the oracle the series methods are checked against.
+    """
+    return _walk_multisets(n, lam, _embraces)
 
 
 def enumerate_gradation_elements(tree, lam):
@@ -297,55 +307,17 @@ def enumerate_gradation_elements(tree, lam):
     Walks multisets of leaf pairs summand by summand, discarding any
     branch whose chosen pairs intersect in an unordered way on the tree.
     """
-    n = tree.n_leaves
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
-    if any(v < 0 for v in lam) or sum(lam) % 2:
-        return []
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    npairs = len(pairs)
-    residual = list(lam)
-    chosen = []
+    @cache
+    def unordered(pa, pb):
+        return classify_intersection(tree, pa, pb).kind == "unordered"
+
+    def collect(chosen):
+        multiset = PathMultiset.from_dict(chosen)
+        found.append(SemigroupElement(multiset.edge_vector(tree), multiset))
+
     found = []
-    unordered_cache = {}
-
-    def is_unordered(pa, pb):
-        key = (pa, pb)
-        if key not in unordered_cache:
-            unordered_cache[key] = (
-                classify_intersection(tree, pa, pb).kind == "unordered")
-        return unordered_cache[key]
-
-    def conflicts(pair):
-        return any(is_unordered(p, pair) for p, _ in chosen)
-
-    def rec(t):
-        if not any(residual):
-            counts = {p: m for p, m in chosen}
-            multiset = PathMultiset.from_dict(counts)
-            found.append(SemigroupElement(multiset.edge_vector(tree), multiset))
-            return
-        f = next(k + 1 for k, v in enumerate(residual) if v)
-        while t < npairs and pairs[t][0] < f:
-            t += 1
-        if t == npairs or pairs[t][0] > f:
-            return
-        i, j = pairs[t]
-        rec(t + 1)
-        m_max = min(residual[i - 1], residual[j - 1])
-        if m_max > 0 and not conflicts((i, j)):
-            used = 0
-            for m in range(1, m_max + 1):
-                residual[i - 1] -= 1
-                residual[j - 1] -= 1
-                used += 1
-                chosen.append(((i, j), m))
-                rec(t + 1)
-                chosen.pop()
-            residual[i - 1] += used
-            residual[j - 1] += used
-
-    rec(0)
+    _walk_multisets(tree.n_leaves, lam,
+                    lambda chosen, pair: any(unordered(p, pair) for p in chosen),
+                    collect)
     found.sort(key=lambda el: el.decomposition.counts)
     return found

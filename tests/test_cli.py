@@ -1,11 +1,15 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import grasshilb
+from grasshilb import hilbert
 from grasshilb.cli import main
 from grasshilb.polyring import from_json_dict
 from grasshilb.hilbert import series_by_recursion
@@ -57,6 +61,18 @@ def test_numerator_capacity_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "capacity" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(n):
+        raise AssertionError("self-check failed")
+
+    monkeypatch.setattr(hilbert, "numerator_symmetric_recursion", broken)
+    code, out, err = run_cli(capsys, "numerator", "--n", "5", "--method", "sym")
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err
+    assert "AssertionError: self-check failed" in err
 
 
 def test_dim_text(capsys):
@@ -237,14 +253,17 @@ def test_usage_error_exit_code():
 
 
 def test_console_entry_point():
+    # the child runs the package these tests import, installed or not
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grasshilb.__file__).resolve().parents[1]))
     result = subprocess.run(
         [sys.executable, "-m", "grasshilb.cli", "dim", "--n", "4",
          "--grading", "1,1,1,1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert result.stdout == "2\n"
     result = subprocess.run(
         [sys.executable, "-m", "grasshilb.cli", "numerator", "--n", "7",
          "--method", "ie"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 3

@@ -133,10 +133,12 @@ def test_verify_against_series_passes():
 
 
 def test_verify_against_series_guards():
-    with pytest.raises(PrecisionError):
-        verify_against_series(series_by_recursion(5, GRADING_CAP - 1))
-    with pytest.raises(ValueError):
-        verify_against_series(series_by_recursion(4, 4))
+    too_short = series_by_recursion(5, GRADING_CAP - 1)
+    for check in (verify_against_series, fit_quadratic_form):
+        with pytest.raises(PrecisionError):
+            check(too_short)
+        with pytest.raises(ValueError):
+            check(series_by_recursion(4, 4))
 
 
 def test_verify_detects_corrupted_series():

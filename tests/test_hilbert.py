@@ -19,10 +19,12 @@ from grasshilb.hilbert import (
     series_from_numerator,
 )
 from grasshilb.polyring import (
+    PrecisionError,
     all_pairs,
     format_terms,
     geometric_expand,
     permute_variables,
+    truncate,
 )
 from grasshilb.semigroup import count_gradation
 from grasshilb.trees import caterpillar, parse_tree
@@ -127,6 +129,13 @@ def test_series_from_numerator_matches_recursion():
 def test_series_from_numerator_accepts_bare_polynomial():
     poly = numerator_inclusion_exclusion(4).polynomial
     assert series_from_numerator(poly, 6) == series_by_recursion(4, 6)
+
+
+def test_series_from_numerator_refuses_a_shorter_series():
+    capped = truncate(numerator_inclusion_exclusion(4).polynomial, 3)
+    assert series_from_numerator(capped, 3) == series_by_recursion(4, 3)
+    with pytest.raises(PrecisionError):
+        series_from_numerator(capped, 6)
 
 
 def test_series_coefficients_match_oracle():

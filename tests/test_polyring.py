@@ -253,6 +253,18 @@ def test_terms_checked_at_the_boundary(exps, coeff, error):
             from_json_dict(data)
 
 
+@pytest.mark.parametrize("num_vars, cap", [(2, 4.5), (2.0, 4), (2.0, None)])
+def test_sizes_checked_at_the_boundary(num_vars, cap):
+    with pytest.raises(TypeError):
+        if cap is None:
+            IntPolynomial(num_vars, {(1, 1): 1})
+        else:
+            TruncatedSeries(num_vars, cap, {(1, 1): 1})
+    with pytest.raises(TypeError):
+        from_json_dict({"num_vars": num_vars, "max_total_degree": cap,
+                        "terms": [{"e": [1, 1], "c": "1"}]})
+
+
 def test_json_round_trip_series():
     s = geometric_expand([(1, 2), (1, 3)], 3, 5)
     data = to_json_dict(s)
