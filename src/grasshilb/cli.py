@@ -25,9 +25,8 @@ import os
 import sys
 
 from . import delpezzo, fixtures, hilbert, semigroup, trees
-from .hilbert import CapacityError
 from . import polyring
-from .polyring import PrecisionError, format_terms
+from .polyring import CapacityError, PrecisionError, format_terms
 from .trees import TreeParseError
 
 INDEX_NOTE = ("variables are z1..zn (1-indexed); formulations indexed "
@@ -35,10 +34,12 @@ INDEX_NOTE = ("variables are z1..zn (1-indexed); formulations indexed "
 
 
 def _emit(args, text_lines, json_obj):
+    """Print the requested format; `text_lines` and `json_obj` are
+    callables, so only that one is built."""
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
+        print(json.dumps(json_obj(), indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -63,7 +64,8 @@ def cmd_series(args):
     else:
         numerator = hilbert.numerator_inclusion_exclusion(args.n)
         series = hilbert.series_from_numerator(numerator, args.max_degree)
-    _emit(args, [format_terms(series)], polyring.to_json_dict(series))
+    _emit(args, lambda: [format_terms(series)],
+          lambda: polyring.to_json_dict(series))
     return 0
 
 
@@ -78,8 +80,8 @@ def cmd_numerator(args):
         if args.tree:
             raise ValueError("--tree only applies to --method ie")
         result = hilbert.numerator_symmetric_recursion(args.n)
-    _emit(args, [format_terms(result.polynomial)],
-          polyring.to_json_dict(result.polynomial))
+    _emit(args, lambda: [format_terms(result.polynomial)],
+          lambda: polyring.to_json_dict(result.polynomial))
     return 0
 
 
@@ -95,8 +97,8 @@ def cmd_dim(args):
     else:
         series = hilbert.series_by_recursion(args.n, sum(grading))
         value = series.coefficient(tuple(grading))
-    _emit(args, [str(value)],
-          {"n": args.n, "grading": grading, "dim": value})
+    _emit(args, lambda: [str(value)],
+          lambda: {"n": args.n, "grading": grading, "dim": value})
     return 0
 
 
@@ -110,33 +112,35 @@ def cmd_decompose(args):
     try:
         multiset = semigroup.decompose(tree, values)
     except semigroup.NotInSemigroupError as exc:
-        _emit(args, ["not in semigroup: %s" % exc],
-              {"member": False, "reason": str(exc)})
+        _emit(args, lambda: ["not in semigroup: %s" % exc],
+              lambda: {"member": False, "reason": str(exc)})
         return 0
     body = ", ".join("(%d,%d): %d" % (i, j, mult)
                      for (i, j), mult in multiset.counts)
-    _emit(args, ["{%s}" % body],
-          {"member": True, "decomposition": multiset.to_json_dict()})
+    _emit(args, lambda: ["{%s}" % body],
+          lambda: {"member": True, "decomposition": multiset.to_json_dict()})
     return 0
 
 
 def cmd_relations(args):
     tree = _load_tree(args.tree)
     relations = trees.ideal_relations(tree)
-    _emit(args, [str(rel) for rel in relations],
-          {"n_leaves": tree.n_leaves,
-           "relations": [rel.to_json_dict() for rel in relations]})
+    _emit(args, lambda: [str(rel) for rel in relations],
+          lambda: {"n_leaves": tree.n_leaves,
+                   "relations": [rel.to_json_dict() for rel in relations]})
     return 0
 
 
 def cmd_verify_cross(args):
     report = hilbert.cross_validate(args.n, args.max_degree, jobs=args.jobs)
-    lines = ["n=%d cap=%d" % (report.n, report.cap)]
-    for check in report.checks:
-        suffix = " (%s)" % check.detail if check.detail else ""
-        lines.append("%s: %s%s" % (check.name, check.status, suffix))
-    lines.append("result: %s" % ("PASS" if report.passed else "FAIL"))
-    _emit(args, lines, report.to_json_dict())
+
+    def text():
+        yield "n=%d cap=%d" % (report.n, report.cap)
+        for check in report.checks:
+            suffix = " (%s)" % check.detail if check.detail else ""
+            yield "%s: %s%s" % (check.name, check.status, suffix)
+        yield "result: %s" % ("PASS" if report.passed else "FAIL")
+    _emit(args, text, report.to_json_dict)
     return 0 if report.passed else 1
 
 
@@ -146,32 +150,30 @@ def cmd_verify_delpezzo(args):
     fitted = delpezzo.fit_quadratic_form(series)
     expected = delpezzo.riemann_roch_coefficients()
     fit_ok = fitted == expected
-    lines = ["family: %d/%d pass" % (report.pass_count, len(report.entries))]
-    for entry in report.entries:
-        if entry.status != "pass":
-            lines.append("  fail at grading %s: chi=%d series=%d"
-                         % (",".join(map(str, entry.grading)),
-                            entry.chi, entry.series_coeff))
-    lines.append("quadratic fit: %s" % ("pass" if fit_ok else "fail"))
     passed = report.passed and fit_ok
-    lines.append("result: %s" % ("PASS" if passed else "FAIL"))
-    json_obj = report.to_json_dict()
-    json_obj["quadratic_fit"] = {
+
+    def text():
+        yield "family: %d/%d pass" % (report.pass_count, len(report.entries))
+        for entry in report.entries:
+            if entry.status != "pass":
+                yield ("  fail at grading %s: chi=%d series=%d"
+                       % (",".join(map(str, entry.grading)),
+                          entry.chi, entry.series_coeff))
+        yield "quadratic fit: %s" % ("pass" if fit_ok else "fail")
+        yield "result: %s" % ("PASS" if passed else "FAIL")
+    _emit(args, text, lambda: dict(report.to_json_dict(), quadratic_fit={
         "status": "pass" if fit_ok else "fail",
-        "coefficients": [str(c) for c in fitted],
-    }
-    _emit(args, lines, json_obj)
+        "coefficients": [str(c) for c in fitted]}))
     return 0 if passed else 1
 
 
 def cmd_fixtures(args):
-    lines = ["# " + INDEX_NOTE]
-    numerators = []
-    for n in fixtures.GOLDEN_RANGE:
-        poly = fixtures.golden_numerator(n)
-        lines.append("n=%d: %s" % (n, format_terms(poly)))
-        numerators.append({"n": n, "polynomial": polyring.to_json_dict(poly)})
-    _emit(args, lines, {"note": INDEX_NOTE, "numerators": numerators})
+    golden = [(n, fixtures.golden_numerator(n)) for n in fixtures.GOLDEN_RANGE]
+    _emit(args, lambda: ["# " + INDEX_NOTE] + [
+        "n=%d: %s" % (n, format_terms(poly)) for n, poly in golden],
+        lambda: {"note": INDEX_NOTE, "numerators": [
+            {"n": n, "polynomial": polyring.to_json_dict(poly)}
+            for n, poly in golden]})
     return 0
 
 

@@ -144,6 +144,9 @@ def _check_series(series):
     so absent terms are never misread as zeros."""
     if series.num_vars != 5:
         raise ValueError("expected a 5-variable series")
+    if series.max_total_degree is None:
+        raise ValueError("expected a truncated series with cap >= %d, "
+                         "got an exact polynomial" % GRADING_CAP)
     if series.max_total_degree < GRADING_CAP:
         raise PrecisionError(
             "series cap %d is below the family's top degree %d"

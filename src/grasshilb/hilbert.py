@@ -29,8 +29,9 @@ from functools import cache
 from itertools import combinations
 
 from . import polyring, semigroup, trees
-from .polyring import (IntPolynomial, all_pairs, complete_homogeneous,
-                       elementary_symmetric, geometric_expand, iter_exponents,
+from .polyring import (CapacityError, IntPolynomial, all_pairs,
+                       complete_homogeneous, elementary_symmetric,
+                       geometric_expand, iter_exponents,
                        multiply_by_geometric_series, permute_variables)
 
 #: Largest excluded-configuration set inclusion-exclusion will expand
@@ -38,11 +39,6 @@ from .polyring import (IntPolynomial, all_pairs, complete_homogeneous,
 EXC_LIMIT = 20
 
 _PERMUTATION_SEED = 271828
-
-
-class CapacityError(RuntimeError):
-    """The inclusion-exclusion expansion would be too large; use the
-    recursion method instead."""
 
 
 @dataclass(frozen=True)
@@ -98,28 +94,26 @@ def series_by_recursion(n, max_total_degree):
     if n < 2:
         raise ValueError("need n >= 2")
     cap = max_total_degree
+    polyring._check_sweep(n, cap)  # the last sweep is the largest
     series = geometric_expand([(1, 2)], 2, cap)
     for num_vars in range(3, n + 1):
         split = IntPolynomial._trusted(
-            num_vars, _split_last_variable(series.terms), cap)
+            num_vars, _split_last_variable(series._terms), cap)
         series = multiply_by_geometric_series(split, (num_vars - 1, num_vars))
     return series
 
 
 def _split_last_variable(terms):
     """Replace z_m^i by sum_{l=0}^{i} z_m^{i-l} z_{m+1}^l, adding one
-    variable.  Total degree is unchanged."""
+    variable.  Total degree is unchanged.  On packed keys: shift every slot
+    up one, then move l units from the slot of z_m to the new lowest slot.
+    No two terms land on one key (z_m, z_{m+1} give back i and l)."""
+    step = (1 << polyring._WIDTH) - 1
     out = {}
-    for e, c in terms.items():
-        i = e[-1]
-        head = e[:-1]
-        for l in range(i + 1):
-            key = head + (i - l, l)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+    for k, c in terms.items():
+        base = k << polyring._WIDTH
+        for key in range(base, base - (k & step) * step - 1, -step):
+            out[key] = c
     return out
 
 
@@ -169,8 +163,10 @@ def numerator_inclusion_exclusion(n, tree=None):
         raise CapacityError(
             "%d excluded configurations exceed the limit %d; "
             "use the recursion method" % (len(exc), EXC_LIMIT))
-    config_pairs = [frozenset(cfg) for cfg in exc]
-    acc = {(0,) * n: 1}
+    # each configuration as the set of the keys of its two z_i z_j
+    config_pairs = [frozenset(polyring._monomial_key(n, *pair) for pair in cfg)
+                    for cfg in exc]
+    acc = {0: 1}
     for mask in range(1, 1 << len(exc)):
         pairs = set()
         sign = 1
@@ -182,11 +178,7 @@ def numerator_inclusion_exclusion(n, tree=None):
                 sign = -sign
             m >>= 1
             idx += 1
-        e = [0] * n
-        for i, j in pairs:
-            e[i - 1] += 1
-            e[j - 1] += 1
-        key = tuple(e)
+        key = sum(pairs)
         s = acc.get(key, 0) + sign
         if s:
             acc[key] = s
@@ -202,9 +194,7 @@ def series_from_numerator(numerator, max_total_degree):
     series must be exact through the cap (PrecisionError otherwise)."""
     poly = getattr(numerator, "polynomial", numerator)
     series = polyring.truncate(poly, max_total_degree)
-    for pair in all_pairs(series.num_vars):
-        series = multiply_by_geometric_series(series, pair)
-    return series
+    return multiply_by_geometric_series(series, *all_pairs(series.num_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +287,14 @@ def _pad(poly, n):
     extra = n - poly.num_vars
     if extra < 0:
         raise polyring.DimensionError("cannot shrink variable count")
-    if extra == 0:
-        return poly
     return IntPolynomial._trusted(
-        n, {e + (0,) * extra: c for e, c in poly.terms.items()})
+        n, {k << polyring._WIDTH * extra: c for k, c in poly._terms.items()})
 
 
 def _power_of_variable(n, index, power):
     """z_index^power in n variables."""
-    exps = [0] * n
-    exps[index - 1] = power
-    return IntPolynomial._trusted(n, {tuple(exps): 1})
+    return IntPolynomial._trusted(
+        n, {power * polyring._monomial_key(n, index): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +356,12 @@ def _series_check(name, reference, build):
         other = build()
     except CapacityError as exc:
         return CheckResult(name, "fail", "capacity: %s" % exc)
-    if other.terms == reference.terms:
+    if other._terms == reference._terms:
         return CheckResult(name, "pass",
-                           "%d coefficients agree" % len(reference.terms))
+                           "%d coefficients agree" % len(reference._terms))
     for e in iter_exponents(reference.num_vars, reference.max_total_degree):
-        a = reference.terms.get(e, 0)
-        b = other.terms.get(e, 0)
+        a = reference.coefficient(e)
+        b = other.coefficient(e)
         if a != b:
             return CheckResult(
                 name, "fail",
@@ -406,7 +393,7 @@ def _oracle_check(reference, jobs):
     if counts is None:
         counts = [semigroup.count_gradation(n, lam) for lam in lams]
     for lam, expected in zip(lams, counts):
-        got = reference.terms.get(lam, 0)
+        got = reference.coefficient(lam)
         if got != expected:
             return CheckResult(
                 "oracle-dimensions", "fail",

@@ -1,21 +1,33 @@
 """Exact sparse polynomials and truncated power series over the integers.
 
-One term store, IntPolynomial, holds both.  Terms are dicts mapping
-exponent tuples to nonzero Python ints, so coefficients never overflow
-and nothing is ever rounded.  A store with a total-degree cap
-(``max_total_degree``) is a TruncatedSeries; sums and products keep the
-smaller cap.  Terms are checked where they enter from outside (the
-public constructors and from_json_dict), not on every internal result.
+One term store, IntPolynomial, holds both; with a total-degree cap
+(``max_total_degree``) it is a TruncatedSeries, and sums and products
+keep the smaller cap.  Coefficients are Python ints, never rounded.
+Terms are checked where they enter (the public constructors and
+from_json_dict), not on every internal result.
 
-Canonical term order (used for printing and serialization): ascending
-total degree, ties broken by descending lexicographic order on the
-exponent tuple.  So ``h_2`` in two variables prints as
-``z1^2 + z1*z2 + z2^2``.
+Terms map a packed key to the coefficient: z1^e1 ... zn^en is one int
+of n + 1 slots, _WIDTH = 16 bits each, holding e1 + ... + en in the top
+slot and then e1, ..., en.  A monomial product is a key sum, the
+constant term is key 0, and "total degree <= cap" is
+``key < (cap + 1) << (16 * n)``.  So that no slot carries, a term, cap
+or uncapped product of total degree 2**16 or more raises PrecisionError.
+Exponent tuples exist only where terms enter or leave the store.
+
+Canonical term order (printing and serialization): ascending total
+degree, then descending lexicographic exponent tuple, which is
+descending key.  So ``h_2`` in two variables prints as
+``z1^2 + z1*z2 + z2^2``.  A sweep visits all C(cap + n, n) exponents of
+degree <= cap and raises CapacityError up front past SWEEP_LIMIT.
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_left
+from functools import cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 
 class DimensionError(ValueError):
@@ -23,37 +35,75 @@ class DimensionError(ValueError):
 
 
 class PrecisionError(ValueError):
-    """A coefficient beyond the truncation cap of a series was requested."""
+    """A coefficient beyond the truncation cap of a series was requested,
+    or a total degree too large for a packed key."""
+
+
+class CapacityError(RuntimeError):
+    """An inclusion-exclusion expansion or a sweep would be too large."""
+
+
+#: Bits of one key slot: one big-endian unsigned short ("H").
+_WIDTH = 16
+
+#: Most cells a single sweep may visit.
+SWEEP_LIMIT = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# exponent vectors
-
-
-def _compositions(total, parts):
-    """Yield all tuples of `parts` non-negative ints summing to `total`,
-    in descending lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+# exponent vectors and packed keys
 
 
 def iter_exponents(num_vars, max_total_degree):
     """Yield every exponent tuple with total degree <= max_total_degree,
     in canonical order."""
-    for d in range(max_total_degree + 1):
-        yield from _compositions(d, num_vars)
+    if num_vars == 0:
+        if max_total_degree >= 0:
+            yield ()
+        return
+    last = num_vars - 1
+    for degree in range(max_total_degree + 1):
+        e = [0] * num_vars
+        e[0] = degree
+        while True:
+            yield tuple(e)
+            # next: move one unit from the rightmost nonzero entry before
+            # the last to its right neighbour, with the whole last entry
+            tail = e[last]
+            e[last] = 0
+            k = last - 1
+            while k >= 0 and not e[k]:
+                k -= 1
+            if k < 0:
+                break
+            e[k] -= 1
+            e[k + 1] = tail + 1
 
 
-def _canonical_key(exps):
-    return (sum(exps), tuple(-e for e in exps))
+@cache
+def _layout(num_vars):
+    return struct.Struct(">%dH" % (num_vars + 1))
+
+
+def _pack(exps):
+    """The key of an exponent sequence of total degree < 2**_WIDTH."""
+    return int.from_bytes(_layout(len(exps)).pack(sum(exps), *exps), "big")
+
+
+def _unpack(key, num_vars):
+    return _layout(num_vars).unpack(key.to_bytes(2 * num_vars + 2, "big"))[1:]
+
+
+def _monomial_key(num_vars, *indices):
+    """The key of the product of z_i over the 1-based `indices`."""
+    return sum((1 << _WIDTH * num_vars) | (1 << _WIDTH * (num_vars - i))
+               for i in indices)
+
+
+def _check_degree(degree, what):
+    if degree >> _WIDTH:
+        raise PrecisionError("%s %d is past the degree limit %d"
+                             % (what, degree, (1 << _WIDTH) - 1))
 
 
 def _check_sizes(num_vars, cap=None):
@@ -66,10 +116,11 @@ def _check_sizes(num_vars, cap=None):
             raise TypeError("max_total_degree %r is not an int" % (cap,))
         if cap < 0:
             raise ValueError("max_total_degree must be non-negative")
+        _check_degree(cap, "max_total_degree")
 
 
 def _validated_terms(num_vars, terms, cap):
-    """Check terms arriving from outside the store; zeros are dropped."""
+    """Check and pack terms arriving from outside; zeros are dropped."""
     _check_sizes(num_vars, cap)
     out = {}
     for exps, coeff in terms.items():
@@ -84,12 +135,15 @@ def _validated_terms(num_vars, terms, cap):
         if not isinstance(coeff, int):
             raise TypeError("coefficient %r is not an int" % (coeff,))
         if coeff:
-            if cap is not None and sum(exps) > cap:
+            degree = sum(exps)
+            if cap is not None and degree > cap:
                 raise PrecisionError(
-                    "term of degree %d exceeds cap %d" % (sum(exps), cap))
-            out[exps] = out.get(exps, 0) + coeff
-            if not out[exps]:
-                del out[exps]
+                    "term of degree %d exceeds cap %d" % (degree, cap))
+            _check_degree(degree, "total degree")
+            key = _pack(exps)
+            out[key] = out.get(key, 0) + coeff
+            if not out[key]:
+                del out[key]
     return out
 
 
@@ -102,7 +156,7 @@ class IntPolynomial:
     coefficients; with a total-degree cap, a truncated series.  Instances
     are treated as immutable."""
 
-    __slots__ = ("num_vars", "max_total_degree", "terms")
+    __slots__ = ("num_vars", "max_total_degree", "_terms")
 
     def __init__(self, num_vars, terms=None):
         self._fill(num_vars, None,
@@ -111,18 +165,23 @@ class IntPolynomial:
     def _fill(self, num_vars, cap, terms):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "max_total_degree", cap)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
 
     @staticmethod
     def _trusted(num_vars, terms, cap=None):
-        """A store over terms already known to be valid for `num_vars`
-        and `cap`; a TruncatedSeries when `cap` is not None."""
+        """A store over packed terms already known to be valid for
+        `num_vars` and `cap`; a TruncatedSeries when `cap` is not None."""
         obj = object.__new__(IntPolynomial if cap is None else TruncatedSeries)
         obj._fill(num_vars, cap, terms)
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @property
+    def terms(self):
+        """A new dict from exponent tuple to nonzero coefficient."""
+        return {_unpack(k, self.num_vars): c for k, c in self._terms.items()}
 
     # -- constructors
 
@@ -156,27 +215,30 @@ class IntPolynomial:
         if len(exps) != self.num_vars:
             raise DimensionError("grading has %d entries, expected %d"
                                  % (len(exps), self.num_vars))
+        degree = sum(exps)
         cap = self.max_total_degree
-        if cap is not None and sum(exps) > cap:
+        if cap is not None and degree > cap:
             raise PrecisionError(
-                "degree %d is beyond the series cap %d" % (sum(exps), cap))
-        return self.terms.get(exps, 0)
+                "degree %d is beyond the series cap %d" % (degree, cap))
+        if min(exps, default=0) < 0 or degree >> _WIDTH:
+            return 0  # no key holds these exponents
+        return self._terms.get(_pack(exps), 0)
 
     def total_degree(self):
         """Largest total degree of a term, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self._terms, default=-1) >> _WIDTH * self.num_vars
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     # -- arithmetic
 
     def _operand(self, other):
-        """The terms of `other` (an int or a store in as many variables)
-        and the cap of the result; None when `other` is neither."""
+        """The packed terms of `other` (an int or a store in as many
+        variables) and the cap of the result; None when `other` is
+        neither."""
         if isinstance(other, int):
-            constant = {(0,) * self.num_vars: other} if other else {}
-            return constant, self.max_total_degree
+            return ({0: other} if other else {}), self.max_total_degree
         if not isinstance(other, IntPolynomial):
             return None
         if other.num_vars != self.num_vars:
@@ -184,16 +246,16 @@ class IntPolynomial:
                                  % (self.num_vars, other.num_vars))
         caps = [c for c in (self.max_total_degree, other.max_total_degree)
                 if c is not None]
-        return other.terms, min(caps, default=None)
+        return other._terms, min(caps, default=None)
 
     def __add__(self, other):
         operand = self._operand(other)
         if operand is None:
             return NotImplemented
         terms, cap = operand
-        merged = _merge(self.terms, terms)
+        merged = _merge(self._terms, terms)
         if cap is not None:
-            merged = _truncated(merged, cap)
+            merged = _truncated(merged, self.num_vars, cap)
         return IntPolynomial._trusted(self.num_vars, merged, cap)
 
     __radd__ = __add__
@@ -206,7 +268,7 @@ class IntPolynomial:
 
     def __neg__(self):
         return IntPolynomial._trusted(
-            self.num_vars, {e: -c for e, c in self.terms.items()},
+            self.num_vars, {k: -c for k, c in self._terms.items()},
             self.max_total_degree)
 
     def __mul__(self, other):
@@ -215,7 +277,8 @@ class IntPolynomial:
             return NotImplemented
         terms, cap = operand
         return IntPolynomial._trusted(
-            self.num_vars, _multiply(self.terms, terms, cap), cap)
+            self.num_vars, _multiply(self._terms, terms, self.num_vars, cap),
+            cap)
 
     __rmul__ = __mul__
 
@@ -231,16 +294,16 @@ class IntPolynomial:
         return (isinstance(other, IntPolynomial)
                 and self.num_vars == other.num_vars
                 and self.max_total_degree == other.max_total_degree
-                and self.terms == other.terms)
+                and self._terms == other._terms)
 
     def __repr__(self):
         if self.max_total_degree is None:
             return "IntPolynomial(%d, %s)" % (self.num_vars, self)
         return "TruncatedSeries(%d, %d, %s terms)" % (
-            self.num_vars, self.max_total_degree, len(self.terms))
+            self.num_vars, self.max_total_degree, len(self._terms))
 
     def __str__(self):
-        return format_terms(self.terms)
+        return format_terms(self)
 
 
 class TruncatedSeries(IntPolynomial):
@@ -261,36 +324,42 @@ class TruncatedSeries(IntPolynomial):
 
 def _merge(terms_a, terms_b):
     out = dict(terms_a)
-    for e, c in terms_b.items():
-        s = out.get(e, 0) + c
+    for k, c in terms_b.items():
+        s = out.get(k, 0) + c
         if s:
-            out[e] = s
+            out[k] = s
         else:
-            out.pop(e, None)
+            out.pop(k, None)
     return out
 
 
-def _truncated(terms, cap):
-    return {e: c for e, c in terms.items() if sum(e) <= cap}
+def _truncated(terms, num_vars, cap):
+    limit = (cap + 1) << _WIDTH * num_vars
+    return {k: c for k, c in terms.items() if k < limit}
 
 
-def _multiply(terms_a, terms_b, cap):
+def _multiply(terms_a, terms_b, num_vars, cap):
+    """Product of two packed term dicts through total degree `cap` (None:
+    exact).  Keys add; terms_b is sorted by key, so for each term of
+    terms_a the inner loop stops before the first product past the cap."""
+    if not terms_a or not terms_b:
+        return {}
     if len(terms_a) > len(terms_b):
         terms_a, terms_b = terms_b, terms_a
+    shift = _WIDTH * num_vars
+    if cap is None:  # no product goes past the two top degrees
+        cap = (max(terms_a) >> shift) + (max(terms_b) >> shift)
+        _check_degree(cap, "product degree")
+    limit = (cap + 1) << shift
+    items_b = sorted(terms_b.items())
+    keys_b = [kb for kb, _ in items_b]
     out = {}
-    degs_b = None if cap is None else {e: sum(e) for e in terms_b}
-    for ea, ca in terms_a.items():
-        da = sum(ea)
-        for eb, cb in terms_b.items():
-            if cap is not None and da + degs_b[eb] > cap:
-                continue
-            key = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+    get = out.get
+    for ka, ca in terms_a.items():
+        for kb, cb in items_b[:bisect_left(keys_b, limit - ka)]:
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
 def truncate(obj, max_total_degree):
@@ -301,9 +370,9 @@ def truncate(obj, max_total_degree):
     if cap is not None and cap < max_total_degree:
         raise PrecisionError("cannot extend a series from cap %d to %d"
                              % (cap, max_total_degree))
-    return IntPolynomial._trusted(obj.num_vars,
-                                  _truncated(obj.terms, max_total_degree),
-                                  max_total_degree)
+    return IntPolynomial._trusted(
+        obj.num_vars, _truncated(obj._terms, obj.num_vars, max_total_degree),
+        max_total_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +393,41 @@ def _validate_pair(pair, num_vars):
     return i, j
 
 
-def _geometric_sweep(terms, num_vars, pair, cap):
-    """Multiply `terms` by the expansion of 1/(1 - z_i z_j) through total
-    degree `cap`.
+def _check_sweep(num_vars, cap):
+    """Refuse a sweep over more than SWEEP_LIMIT cells up front."""
+    _check_sizes(num_vars, cap)
+    cells = comb(cap + num_vars, num_vars)
+    if cells > SWEEP_LIMIT:
+        raise CapacityError(
+            "a series in %d variables through degree %d has %d cells, "
+            "more than the limit %d" % (num_vars, cap, cells, SWEEP_LIMIT))
 
-    Uses the recurrence out[e] = in[e] + out[e - delta] with delta the
-    exponent of z_i z_j, walking exponents in ascending total degree so
-    the referenced entry is always already final.
-    """
-    i, j = _validate_pair(pair, num_vars)
-    out = {}
-    for e in iter_exponents(num_vars, cap):
-        c = terms.get(e, 0)
-        if e[i - 1] and e[j - 1]:
-            prev = list(e)
-            prev[i - 1] -= 1
-            prev[j - 1] -= 1
-            c += out.get(tuple(prev), 0)
-        if c:
-            out[e] = c
+
+def _geometric_sweep(terms, num_vars, pairs, cap):
+    """Multiply packed `terms` of total degree <= cap by the expansion of
+    prod 1/(1 - z_i z_j) over `pairs` through degree `cap`.
+
+    Per pair, out[e] = in[e] + out[e - delta] in place, walking the cells
+    in ascending total degree so out[e - delta] is already final.  When e
+    lacks z_i or z_j, e - delta borrows and leaves a slot above any total
+    degree, so it is no key and the lookup misses."""
+    deltas = [_monomial_key(num_vars, *_validate_pair(p, num_vars))
+              for p in pairs]
+    _check_sweep(num_vars, cap)
+    pack, from_bytes = _layout(num_vars).pack, int.from_bytes  # _pack inlined
+    cells = [from_bytes(pack(sum(e), *e), "big")
+             for e in iter_exponents(num_vars, cap)]
+    out = dict(terms)
+    get = out.get
+    for delta in deltas:
+        for key in cells:
+            prev = get(key - delta)
+            if prev:
+                c = get(key, 0) + prev
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
     return out
 
 
@@ -355,17 +440,16 @@ def geometric_expand(pairs, num_vars, max_total_degree):
     An empty pair list gives the constant series 1.
     """
     _check_sizes(num_vars, max_total_degree)
-    for p in pairs:
-        _validate_pair(p, num_vars)
-    terms = {(0,) * num_vars: 1}
-    for p in pairs:
-        terms = _geometric_sweep(terms, num_vars, p, max_total_degree)
+    terms = {0: 1}
+    if pairs:
+        terms = _geometric_sweep(terms, num_vars, pairs, max_total_degree)
     return IntPolynomial._trusted(num_vars, terms, max_total_degree)
 
 
-def multiply_by_geometric_series(series, pair):
-    """series / (1 - z_i z_j), exact through the cap of `series`."""
-    terms = _geometric_sweep(series.terms, series.num_vars, pair,
+def multiply_by_geometric_series(series, *pairs):
+    """series / prod (1 - z_i z_j) over the given pairs, exact through the
+    cap of `series`."""
+    terms = _geometric_sweep(series._terms, series.num_vars, pairs,
                              series.max_total_degree)
     return IntPolynomial._trusted(series.num_vars, terms,
                                   series.max_total_degree)
@@ -377,13 +461,10 @@ def _sum_of_choices(num_vars, degree, choose):
     if degree < 0:
         return IntPolynomial.zero(num_vars)
     _check_sizes(num_vars)
-    terms = {}
-    for choice in choose(range(num_vars), degree):
-        e = [0] * num_vars
-        for k in choice:
-            e[k] += 1
-        terms[tuple(e)] = 1
-    return IntPolynomial._trusted(num_vars, terms)
+    _check_degree(degree, "degree")
+    keys = [_monomial_key(num_vars, k) for k in range(1, num_vars + 1)]
+    return IntPolynomial._trusted(
+        num_vars, {sum(choice): 1 for choice in choose(keys, degree)})
 
 
 def elementary_symmetric(num_vars, degree):
@@ -409,52 +490,50 @@ def permute_variables(obj, perm):
     n = obj.num_vars
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (perm, n))
-    new_terms = {}
-    for e, c in obj.terms.items():
-        ne = [0] * n
-        for idx in range(n):
-            ne[perm[idx] - 1] = e[idx]
-        new_terms[tuple(ne)] = c
-    return IntPolynomial._trusted(n, new_terms, obj.max_total_degree)
+    source = sorted(range(n), key=perm.__getitem__)  # z_j's old index
+    return IntPolynomial._trusted(
+        n, {_pack([e[i] for i in source]): c for e, c in obj.terms.items()},
+        obj.max_total_degree)
 
 
 # ---------------------------------------------------------------------------
 # formatting and serialization
 
 
+def _canonical_terms(obj):
+    """The (exponent tuple, coefficient) pairs of a store in canonical
+    order: flipping the bits below the degree slot reverses the key order
+    within each degree."""
+    n = obj.num_vars
+    below_degree = (1 << _WIDTH * n) - 1
+    return [(_unpack(k, n), obj._terms[k])
+            for k in sorted(obj._terms, key=below_degree.__xor__)]
+
+
 def _format_monomial(exps, coeff):
-    factors = []
-    if abs(coeff) != 1 or not any(exps):
-        factors.append(str(abs(coeff)))
-    for idx, e in enumerate(exps):
-        if e == 0:
-            continue
-        if e == 1:
-            factors.append("z%d" % (idx + 1))
-        else:
-            factors.append("z%d^%d" % (idx + 1, e))
+    factors = [str(abs(coeff))] if abs(coeff) != 1 or not any(exps) else []
+    factors += ["z%d" % (idx + 1) if e == 1 else "z%d^%d" % (idx + 1, e)
+                for idx, e in enumerate(exps) if e]
     return "*".join(factors)
 
 
 def format_terms(terms):
-    """Render a term dict, polynomial, or series as text, e.g.
-    ``1 - z1*z2*z3*z4``.
+    """Render a polynomial, series, or dict from exponent tuple to
+    coefficient as text, e.g. ``1 - z1*z2*z3*z4``.
 
     Terms appear in canonical order; ``^1`` and a ``1*`` coefficient are
     elided; the zero polynomial renders as ``0``.
     """
-    terms = getattr(terms, "terms", terms)
-    if not terms:
-        return "0"
+    if not isinstance(terms, IntPolynomial):
+        terms = IntPolynomial(len(next(iter(terms), ())), terms)
     parts = []
-    for e in sorted(terms, key=_canonical_key):
-        c = terms[e]
+    for e, c in _canonical_terms(terms):
         mono = _format_monomial(e, c)
         if not parts:
             parts.append(mono if c > 0 else "-" + mono)
         else:
             parts.append(("+ " if c > 0 else "- ") + mono)
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 def to_json_dict(obj):
@@ -463,8 +542,8 @@ def to_json_dict(obj):
     return {
         "num_vars": obj.num_vars,
         "max_total_degree": obj.max_total_degree,
-        "terms": [{"e": list(e), "c": str(obj.terms[e])}
-                  for e in sorted(obj.terms, key=_canonical_key)],
+        "terms": [{"e": list(e), "c": str(c)}
+                  for e, c in _canonical_terms(obj)],
     }
 
 

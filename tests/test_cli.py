@@ -252,6 +252,25 @@ def test_usage_error_exit_code():
         assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["dim", "--n", "8", "--grading", "9,9,9,9,9,9,9,9", "--method",
+      "series"], "capacity"),
+    (["series", "--n", "6", "--max-degree", "60", "--method", "numerator"],
+     "capacity"),
+    (["series", "--n", "2", "--max-degree", "65536"], "precision"),
+])
+def test_oversized_requests_exit_3_at_once(argv, reason):
+    # a subprocess, so that a request that does run is cut by the timeout
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grasshilb.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "grasshilb.cli"] + argv,
+                            capture_output=True, text=True, env=env,
+                            timeout=20)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert reason in result.stderr
+
+
 def test_console_entry_point():
     # the child runs the package these tests import, installed or not
     env = dict(os.environ,

@@ -22,7 +22,7 @@ from grasshilb.delpezzo import (
     verify_against_series,
 )
 from grasshilb.hilbert import series_by_recursion
-from grasshilb.polyring import PrecisionError, TruncatedSeries
+from grasshilb.polyring import IntPolynomial, PrecisionError, TruncatedSeries
 
 HALF = Fraction(1, 2)
 
@@ -139,6 +139,8 @@ def test_verify_against_series_guards():
             check(too_short)
         with pytest.raises(ValueError):
             check(series_by_recursion(4, 4))
+        with pytest.raises(ValueError, match="cap >= 24"):
+            check(IntPolynomial(5, {}))
 
 
 def test_verify_detects_corrupted_series():

@@ -103,6 +103,20 @@ def test_numerator_capacity_error():
         numerator_inclusion_exclusion(7)
 
 
+def test_oversized_sweeps_refused_up_front():
+    from grasshilb import polyring
+
+    assert CapacityError is polyring.CapacityError
+    with pytest.raises(CapacityError):
+        series_by_recursion(8, 72)  # C(80, 8) cells
+    with pytest.raises(CapacityError):
+        geometric_expand(all_pairs(8), 8, 72)
+    with pytest.raises(CapacityError):
+        series_from_numerator(golden_numerator(5), 400)  # C(405, 5) cells
+    # the largest sweep the package runs, verify delpezzo, stays allowed
+    assert polyring.SWEEP_LIMIT > 118_755
+
+
 def test_numerator_sym_matches_ie():
     for n in range(2, 7):
         sym = numerator_symmetric_recursion(n)

@@ -1,6 +1,7 @@
 """Polynomial and truncated-series arithmetic."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -126,6 +127,80 @@ def test_newton_identity():
         assert acc == IntPolynomial.zero(nv)
 
 
+def canonical_sort(terms):
+    """Exponent tuples by ascending total degree, then descending lex."""
+    return sorted(terms, key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
+def reference_text(terms):
+    parts = []
+    for e in canonical_sort(terms):
+        c = terms[e]
+        factors = [str(abs(c))] if abs(c) != 1 or not any(e) else []
+        factors += ["z%d" % (i + 1) if x == 1 else "z%d^%d" % (i + 1, x)
+                    for i, x in enumerate(e) if x]
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + "*".join(factors))
+    return " ".join(parts) or "0"
+
+
+def test_canonical_order_matches_the_tuple_sort():
+    rng = random.Random(106)
+    for _ in range(40):
+        nv = rng.randint(0, 5)
+        p = random_poly(rng, nv, max_terms=12)
+        terms = p.terms
+        assert [tuple(t["e"]) for t in to_json_dict(p)["terms"]] == \
+            canonical_sort(terms)
+        assert format_terms(p) == format_terms(terms) == reference_text(terms)
+
+
+def test_terms_round_trip_through_the_constructors():
+    rng = random.Random(108)
+    for _ in range(20):
+        nv = rng.randint(0, 5)
+        p = random_poly(rng, nv)
+        assert IntPolynomial(nv, p.terms) == p
+        s = truncate(p, 4)
+        assert TruncatedSeries(nv, 4, s.terms) == s
+        assert from_json_dict(to_json_dict(s)).terms == s.terms
+
+
+def test_degree_past_the_key_limit():
+    limit = 1 << 16
+    for terms in ({(limit, 0): 1}, {(40000, 30000): 1}):
+        with pytest.raises(PrecisionError):
+            IntPolynomial(2, terms)
+        with pytest.raises(PrecisionError):
+            from_json_dict({"num_vars": 2, "max_total_degree": None,
+                            "terms": [{"e": list(e), "c": "1"}
+                                      for e in terms]})
+    for build in (lambda: TruncatedSeries(2, limit),
+                  lambda: truncate(IntPolynomial.one(2), limit),
+                  lambda: geometric_expand([], 2, limit),
+                  lambda: from_json_dict({"num_vars": 2,
+                                          "max_total_degree": limit,
+                                          "terms": []})):
+        with pytest.raises(PrecisionError):
+            build()
+    top = IntPolynomial.monomial(2, (limit - 1, 0))
+    assert top.total_degree() == limit - 1
+    assert top.coefficient((limit - 1, 0)) == 1
+    assert top.coefficient((limit, 0)) == 0
+    with pytest.raises(PrecisionError):
+        top * IntPolynomial.variable(2, 2)
+    assert truncate(top, 5) * IntPolynomial.variable(2, 2) == \
+        TruncatedSeries(2, 5)
+
+
+@pytest.mark.parametrize("num_vars", range(7))
+def test_iter_exponents_matches_brute_force(num_vars):
+    for cap in range(4):
+        brute = [e for e in product(range(cap + 1), repeat=num_vars)
+                 if sum(e) <= cap]
+        assert list(iter_exponents(num_vars, cap)) == canonical_sort(brute)
+
+
 def test_iter_exponents_count_and_order():
     exps = list(iter_exponents(3, 4))
     assert len(exps) == 35  # C(4+3, 3)
@@ -185,6 +260,12 @@ def test_multiply_by_geometric_series():
                                     if sum(e) <= cap})
     stepped = multiply_by_geometric_series(base, (1, 3))
     assert stepped == base * geometric_expand([(1, 3)], 3, cap)
+    pairs = [(1, 2), (2, 3), (1, 2), (1, 3)]
+    one_at_a_time = base
+    for pair in pairs:
+        one_at_a_time = multiply_by_geometric_series(one_at_a_time, pair)
+    assert multiply_by_geometric_series(base, *pairs) == one_at_a_time
+    assert multiply_by_geometric_series(base) == base
 
 
 def test_geometric_expand_w4_coefficient():
