@@ -35,9 +35,11 @@ INDEX_NOTE = ("variables are z1..zn (1-indexed); formulations indexed "
 
 def _emit(args, text_lines, json_obj):
     """Print the requested format; `text_lines` and `json_obj` are
-    callables, so only that one is built."""
+    callables, so only that one is built.  `json_obj` returns an object
+    for json.dumps or, for a polynomial, its finished JSON text."""
     if args.format == "json":
-        print(json.dumps(json_obj(), indent=2))
+        obj = json_obj()
+        print(obj if isinstance(obj, str) else json.dumps(obj, indent=2))
     else:
         for line in text_lines():
             print(line)
@@ -65,7 +67,7 @@ def cmd_series(args):
         numerator = hilbert.numerator_inclusion_exclusion(args.n)
         series = hilbert.series_from_numerator(numerator, args.max_degree)
     _emit(args, lambda: [format_terms(series)],
-          lambda: polyring.to_json_dict(series))
+          lambda: polyring.to_json_text(series))
     return 0
 
 
@@ -81,7 +83,7 @@ def cmd_numerator(args):
             raise ValueError("--tree only applies to --method ie")
         result = hilbert.numerator_symmetric_recursion(args.n)
     _emit(args, lambda: [format_terms(result.polynomial)],
-          lambda: polyring.to_json_dict(result.polynomial))
+          lambda: polyring.to_json_text(result.polynomial))
     return 0
 
 

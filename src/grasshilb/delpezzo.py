@@ -15,7 +15,8 @@ kapranov_grading() maps the divisor to the 5-variable grading at which
 the same number must appear as a coefficient of W_5.  The verification
 sweeps 220 divisors around -2K and also refits the quadratic form from
 the series coefficients alone, recovering Riemann-Roch with no prior
-knowledge of it.
+knowledge of it: the fit eliminates over the integers (fraction-free)
+and returns exact Fractions.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def fit_quadratic_form(series):
     """Fit chi as a quadratic form in the 5 basis coordinates using only
     series coefficients at the family's gradings.
 
-    Returns the 21 coefficients in MONOMIAL_ORDER as exact Fractions.
+    The integer system goes to _solve_exact as it is.  Returns the 21
+    coefficients in MONOMIAL_ORDER as exact Fractions.
     Raises FamilyRankError if the family does not pin the form down and
     FitInconsistencyError if no quadratic form matches.
     """
@@ -232,33 +234,38 @@ def fit_quadratic_form(series):
             raise FitInconsistencyError(
                 "equal divisors with different series values at %r" % (d5,))
         rows[row] = rhs
-    matrix = [[Fraction(v) for v in row] + [Fraction(rhs)]
-              for row, rhs in sorted(rows.items())]
-    ncols = len(MONOMIAL_ORDER)
-    solution = _solve_exact(matrix, ncols)
-    return tuple(solution)
+    matrix = [list(row) + [rhs] for row, rhs in sorted(rows.items())]
+    return tuple(_solve_exact(matrix, len(MONOMIAL_ORDER)))
 
 
 def _solve_exact(matrix, ncols):
-    """Gauss-eliminate an augmented matrix over the rationals; require full
-    column rank and consistency."""
+    """Solve an augmented integer matrix by fraction-free Gauss-Jordan
+    elimination (Bareiss); require full column rank and consistency.
+
+    Each step replaces every other row by (pivot*a - f*b) / previous_pivot,
+    a division that is exact (the entries are minors of the matrix), so
+    the rows stay integers and every pivot row ends with the last pivot on
+    its diagonal.  Fractions appear only in the returned solution.
+    """
     nrows = len(matrix)
-    pivot_rows = []
-    rank = 0
+    pivot_cols = []
+    previous = 1
     for col in range(ncols):
+        rank = len(pivot_cols)
         pivot = next((r for r in range(rank, nrows) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][col]
-        matrix[rank] = [v * inv for v in matrix[rank]]
+        prow = matrix[rank]
+        p = prow[col]
         for r in range(nrows):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b
-                             for a, b in zip(matrix[r], matrix[rank])]
-        pivot_rows.append(col)
-        rank += 1
+            if r != rank:
+                f = matrix[r][col]
+                matrix[r] = [_exact_quotient(p * a - f * b, previous)
+                             for a, b in zip(matrix[r], prow)]
+        previous = p
+        pivot_cols.append(col)
+    rank = len(pivot_cols)
     if rank < ncols:
         raise FamilyRankError(
             "family only determines %d of %d quadratic coefficients"
@@ -268,6 +275,14 @@ def _solve_exact(matrix, ncols):
             raise FitInconsistencyError(
                 "series values are inconsistent with a quadratic form")
     solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_rows):
-        solution[col] = matrix[r][ncols]
+    for r, col in enumerate(pivot_cols):
+        solution[col] = Fraction(matrix[r][ncols], matrix[r][col])
     return solution
+
+
+def _exact_quotient(numerator, divisor):
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise ArithmeticError("fraction-free elimination: %d is not a "
+                              "multiple of %d" % (numerator, divisor))
+    return quotient

@@ -19,6 +19,8 @@ degree, then descending lexicographic exponent tuple, which is
 descending key.  So ``h_2`` in two variables prints as
 ``z1^2 + z1*z2 + z2^2``.  A sweep visits all C(cap + n, n) exponents of
 degree <= cap and raises CapacityError up front past SWEEP_LIMIT.
+to_json_text writes the JSON of to_json_dict with indent 2 directly,
+byte for byte, from one template per term.
 """
 
 from __future__ import annotations
@@ -394,7 +396,11 @@ def _validate_pair(pair, num_vars):
 
 
 def _check_sweep(num_vars, cap):
-    """Refuse a sweep over more than SWEEP_LIMIT cells up front."""
+    """Refuse a sweep with no cap, or over more than SWEEP_LIMIT cells,
+    up front."""
+    if cap is None:
+        raise ValueError("expected a truncated series with a "
+                         "max_total_degree cap, got an exact polynomial")
     _check_sizes(num_vars, cap)
     cells = comb(cap + num_vars, num_vars)
     if cells > SWEEP_LIMIT:
@@ -414,6 +420,8 @@ def _geometric_sweep(terms, num_vars, pairs, cap):
     deltas = [_monomial_key(num_vars, *_validate_pair(p, num_vars))
               for p in pairs]
     _check_sweep(num_vars, cap)
+    if not deltas:
+        return dict(terms)
     pack, from_bytes = _layout(num_vars).pack, int.from_bytes  # _pack inlined
     cells = [from_bytes(pack(sum(e), *e), "big")
              for e in iter_exponents(num_vars, cap)]
@@ -448,7 +456,7 @@ def geometric_expand(pairs, num_vars, max_total_degree):
 
 def multiply_by_geometric_series(series, *pairs):
     """series / prod (1 - z_i z_j) over the given pairs, exact through the
-    cap of `series`."""
+    cap of `series`; an exact polynomial (no cap) raises ValueError."""
     terms = _geometric_sweep(series._terms, series.num_vars, pairs,
                              series.max_total_degree)
     return IntPolynomial._trusted(series.num_vars, terms,
@@ -545,6 +553,23 @@ def to_json_dict(obj):
         "terms": [{"e": list(e), "c": str(c)}
                   for e, c in _canonical_terms(obj)],
     }
+
+
+def to_json_text(obj):
+    """Exactly ``json.dumps(to_json_dict(obj), indent=2)``, written from one
+    %-template per term: no dicts are built and json is not involved."""
+    n = obj.num_vars
+    cap = obj.max_total_degree
+    head = ('{\n  "num_vars": %d,\n  "max_total_degree": %s,\n  "terms": '
+            % (n, "null" if cap is None else cap))
+    terms = _canonical_terms(obj)
+    if not terms:
+        return head + "[]\n}"
+    exps = "[\n%s\n      ]" % ",\n".join(["        %d"] * n) if n else "[]"
+    template = '    {\n      "e": %s,\n      "c": "%%d"\n    }' % exps
+    return (head + "[\n"
+            + ",\n".join([template % (*e, c) for e, c in terms])
+            + "\n  ]\n}")
 
 
 def from_json_dict(data):

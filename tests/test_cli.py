@@ -11,7 +11,7 @@ import pytest
 import grasshilb
 from grasshilb import hilbert
 from grasshilb.cli import main
-from grasshilb.polyring import from_json_dict
+from grasshilb.polyring import from_json_dict, to_json_dict
 from grasshilb.hilbert import series_by_recursion
 
 
@@ -121,6 +121,24 @@ def test_series_json_round_trips(capsys):
     assert code == 0
     series = from_json_dict(json.loads(out))
     assert series == series_by_recursion(3, 6)
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["series", "--n", "4", "--max-degree", "7"],
+     lambda: series_by_recursion(4, 7)),
+    (["series", "--n", "4", "--max-degree", "7", "--method", "numerator"],
+     lambda: hilbert.series_from_numerator(
+         hilbert.numerator_inclusion_exclusion(4), 7)),
+    (["numerator", "--n", "5", "--method", "ie"],
+     lambda: hilbert.numerator_inclusion_exclusion(5).polynomial),
+    (["numerator", "--n", "5", "--method", "sym"],
+     lambda: hilbert.numerator_symmetric_recursion(5).polynomial),
+], ids=["series-recursion", "series-numerator", "numerator-ie",
+        "numerator-sym"])
+def test_polynomial_json_is_json_dumps_text(capsys, argv, build):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(to_json_dict(build()), indent=2) + "\n"
 
 
 def test_decompose_member(capsys):

@@ -186,3 +186,80 @@ def test_solve_exact_unique_solution():
     matrix = [[Fraction(2), Fraction(1), Fraction(5)],
               [Fraction(1), Fraction(-1), Fraction(1)]]
     assert _solve_exact(matrix, 2) == [Fraction(2), Fraction(1)]
+
+
+def reference_solve(matrix, ncols):
+    """Gauss-Jordan over Fractions, the reference for _solve_exact."""
+    matrix = [[Fraction(v) for v in row] for row in matrix]
+    nrows = len(matrix)
+    pivot_rows = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = 1 / matrix[rank][col]
+        matrix[rank] = [v * inv for v in matrix[rank]]
+        for r in range(nrows):
+            if r != rank and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b
+                             for a, b in zip(matrix[r], matrix[rank])]
+        pivot_rows.append(col)
+        rank += 1
+    if rank < ncols:
+        raise FamilyRankError("rank %d < %d" % (rank, ncols))
+    for r in range(rank, nrows):
+        if matrix[r][ncols]:
+            raise FitInconsistencyError("inconsistent")
+    solution = [Fraction(0)] * ncols
+    for r, col in enumerate(pivot_rows):
+        solution[col] = matrix[r][ncols]
+    return solution
+
+
+def outcome(solve, matrix, ncols):
+    try:
+        return solve([list(row) for row in matrix], ncols)
+    except (FamilyRankError, FitInconsistencyError) as exc:
+        return type(exc)
+
+
+def random_system(rng, kind):
+    """A small integer augmented matrix of the given kind."""
+    ncols = rng.randint(1, 4)
+    nrows = ncols + rng.randint(0, 3)
+
+    def entry():
+        return rng.choice((0, 0, rng.randint(-5, 5)))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "consistent":  # rhs from an integer solution
+        x = [rng.randint(-4, 4) for _ in range(ncols)]
+        return [row + [sum(a * b for a, b in zip(row, x))] for row in rows]
+    if kind == "zero column":
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] = 0
+    if kind == "row swap":  # the first row cannot hold the first pivot
+        rows[0][0] = 0
+        rows[-1][0] = rng.choice((-3, -1, 2, 5))
+    return [row + [rng.randint(-6, 6)] for row in rows]
+
+
+def test_solve_exact_matches_the_fraction_reference():
+    rng = random.Random(504)
+    kinds = ("consistent", "free", "zero column", "row swap")
+    seen = set()
+    for i in range(200):
+        kind = kinds[i % len(kinds)]
+        matrix = random_system(rng, kind)
+        ncols = len(matrix[0]) - 1
+        expected = outcome(reference_solve, matrix, ncols)
+        assert outcome(_solve_exact, matrix, ncols) == expected, matrix
+        seen.add((kind, expected if isinstance(expected, type) else "unique"))
+    assert seen >= {("consistent", "unique"), ("row swap", "unique"),
+                    ("zero column", FamilyRankError),
+                    ("free", FamilyRankError),
+                    ("free", FitInconsistencyError)}

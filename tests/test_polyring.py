@@ -1,5 +1,6 @@
 """Polynomial and truncated-series arithmetic."""
 
+import json
 import random
 from itertools import product
 
@@ -20,6 +21,7 @@ from grasshilb.polyring import (
     multiply_by_geometric_series,
     permute_variables,
     to_json_dict,
+    to_json_text,
     truncate,
 )
 
@@ -268,6 +270,13 @@ def test_multiply_by_geometric_series():
     assert multiply_by_geometric_series(base) == base
 
 
+def test_multiply_by_geometric_series_needs_a_cap():
+    exact = IntPolynomial(3, {(1, 0, 0): 1})
+    for pairs in ([(1, 2)], []):
+        with pytest.raises(ValueError, match="max_total_degree cap"):
+            multiply_by_geometric_series(exact, *pairs)
+
+
 def test_geometric_expand_w4_coefficient():
     s = geometric_expand(all_pairs(4), 4, 4)
     assert s.coefficient((1, 1, 1, 1)) == 3
@@ -313,6 +322,34 @@ def test_json_round_trip_polynomial():
     assert data["max_total_degree"] is None
     assert data["terms"][1]["c"] == str(-big)
     assert from_json_dict(data) == p
+
+
+BIG = (1 << 64) + 3
+
+
+@pytest.mark.parametrize("obj", [
+    IntPolynomial(0, {}),
+    IntPolynomial(0, {(): 7}),
+    IntPolynomial(3, {}),
+    IntPolynomial(2, {(0, 0): 1, (2, 1): -4, (0, 3): 9}),
+    TruncatedSeries(3, 0, {}),
+    TruncatedSeries(3, 0, {(0, 0, 0): -2}),
+    TruncatedSeries(0, 5, {(): 1}),
+    IntPolynomial(3, {(1, 0, 2): -BIG, (0, 0, 0): BIG * BIG, (4, 4, 4): -1}),
+], ids=["0-vars", "0-vars-constant", "zero-3-vars", "uncapped", "cap-0-zero",
+        "cap-0", "0-vars-series", "big-coefficients"])
+def test_json_text_matches_json_dumps(obj):
+    assert to_json_text(obj) == json.dumps(to_json_dict(obj), indent=2)
+
+
+def test_json_text_matches_json_dumps_random():
+    rng = random.Random(109)
+    for _ in range(40):
+        nv = rng.randint(0, 5)
+        p = random_poly(rng, nv, max_terms=10, max_coeff=10 ** 25)
+        if rng.random() < 0.5:
+            p = truncate(p, rng.randint(0, 6))
+        assert to_json_text(p) == json.dumps(to_json_dict(p), indent=2)
 
 
 @pytest.mark.parametrize("exps, coeff, error", [
