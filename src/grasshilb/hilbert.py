@@ -38,6 +38,10 @@ from .polyring import (CapacityError, IntPolynomial, all_pairs,
 #: (2^EXC_LIMIT subsets).
 EXC_LIMIT = 20
 
+#: Largest n the symmetric recursion will run: F_n has about 24 times
+#: the terms of F_{n-1}, and F_9 has 1,109,314.
+SYM_LIMIT = 9
+
 _PERMUTATION_SEED = 271828
 
 
@@ -163,28 +167,23 @@ def numerator_inclusion_exclusion(n, tree=None):
         raise CapacityError(
             "%d excluded configurations exceed the limit %d; "
             "use the recursion method" % (len(exc), EXC_LIMIT))
-    # each configuration as the set of the keys of its two z_i z_j
-    config_pairs = [frozenset(polyring._monomial_key(n, *pair) for pair in cfg)
-                    for cfg in exc]
+    # masks in Gray-code order: step `mask` toggles configuration `bit`,
+    # and pair multiplicities tell when a pair enters or leaves the union
+    config_keys = [[polyring._monomial_key(n, *p) for p in cfg] for cfg in exc]
+    mult = dict.fromkeys([k for keys in config_keys for k in keys], 0)
     acc = {0: 1}
+    key, sign = 0, 1
     for mask in range(1, 1 << len(exc)):
-        pairs = set()
-        sign = 1
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                pairs |= config_pairs[idx]
-                sign = -sign
-            m >>= 1
-            idx += 1
-        key = sum(pairs)
-        s = acc.get(key, 0) + sign
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-    return NumeratorResult(n, IntPolynomial._trusted(n, acc),
+        bit = (mask & -mask).bit_length() - 1
+        step = 1 if (mask ^ mask >> 1) >> bit & 1 else -1
+        sign = -sign
+        for k in config_keys[bit]:
+            before = mult[k]
+            mult[k] = before + step
+            if not before or not mult[k]:
+                key += step * k
+        acc[key] = acc.get(key, 0) + sign
+    return NumeratorResult(n, IntPolynomial._trusted(n, polyring._nonzero(acc)),
                            "inclusion-exclusion")
 
 
@@ -211,90 +210,93 @@ def numerator_symmetric_recursion(n):
         new_t = sum_i old_i * a(t-i, i)
 
     where, with sigma/h the elementary/complete homogeneous symmetric
-    polynomials in the m-2 variables z_1..z_{m-2} and
+    polynomials in the v = m-2 variables z_1..z_v and
     H(s, l) = sum_{r=0}^{l} (-1)^r h_{s-r} sigma_r:
 
         a(k, l) = sum_{beta=0}^{m-3} z_{m-1}^beta
                   sum_{alpha=0}^{k+l} (-1)^alpha sigma_alpha H(k+beta-alpha, beta)
 
+    Identities of the formula as written, none of them the conjecture:
+    sigma_alpha = 0 for alpha > v, so a(k, l) depends on l only through
+    top = min(k+l, v) and H(s, l) is needed only for l < v; sigma, h and
+    H involve only z_1..z_v, so z_{m-1}^beta, and z_m^t at the end, are
+    key offsets onto disjoint keys, not products; H(s, l) is H(s, l-1)
+    plus one term, so one pass gives H(s, l) for every l < v.  Each sum
+    of products accumulates into one packed term dict.
+
     Coefficient vectors carry n+1 slots; the three slots past the end are
-    checked to vanish so silent truncation cannot go unnoticed.
+    checked to vanish so silent truncation cannot go unnoticed.  n past
+    SYM_LIMIT is refused up front with CapacityError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    size = n + 1
-    zero = IntPolynomial.zero(n)
-    coeffs = [zero] * size
-    coeffs[0] = IntPolynomial.one(n)
+    if n > SYM_LIMIT:
+        raise CapacityError(
+            "the symmetric recursion for n = %d is past the limit n = %d; "
+            "use the recursion method" % (n, SYM_LIMIT))
+    coeffs = [{0: 1}] + [{}] * n
     for stage in range(3, n + 1):
-        coeffs = _symmetric_step(coeffs, stage, n, size)
-    poly = zero
-    for t, c in enumerate(coeffs):
-        if not c.is_zero():
-            poly = poly + c * _power_of_variable(n, n, t)
-    return NumeratorResult(n, poly, "symmetric-recursion")
+        coeffs = _symmetric_step(coeffs, stage, n)
+    z_n = polyring._monomial_key(n, n)
+    poly = {k + t * z_n: c for t, terms in enumerate(coeffs)
+            for k, c in terms.items()}
+    return NumeratorResult(n, IntPolynomial._trusted(n, poly),
+                           "symmetric-recursion")
 
 
-def _symmetric_step(coeffs, stage, n, size):
+def _symmetric_step(coeffs, stage, n):
+    """One stage of the recursion on packed term dicts in n variables.
+    No memo below calls itself: a closure cycle would keep its cache
+    alive past the stage, until the next cyclic garbage collection."""
     v = stage - 2          # symmetric polynomials in z_1..z_v
-    attach = stage - 1     # powers of z_attach carry the beta sum
+    z_attach = polyring._monomial_key(n, stage - 1)  # carries the beta sum
+    pad = polyring._WIDTH * (n - v)
+    add_product = polyring._add_product
+
+    sigma = [{key << pad: c
+              for key, c in elementary_symmetric(v, k)._terms.items()}
+             for k in range(v + 1)]
 
     @cache
-    def sig(k):
-        return _pad(elementary_symmetric(v, k), n)
+    def sig(k, beta):  # sigma_k z_attach^beta
+        return {key + beta * z_attach: c for key, c in sigma[k].items()}
 
     @cache
     def hom(k):
-        return _pad(complete_homogeneous(v, k), n)
+        return {key << pad: c
+                for key, c in complete_homogeneous(v, k)._terms.items()}
 
     @cache
-    def H(s, l):
-        acc = IntPolynomial.zero(n)
-        for r in range(l + 1):
-            term = hom(s - r) * sig(r)
-            acc = acc + (term if r % 2 == 0 else -term)
-        return acc
+    def H(s):  # [H(s, l) for l < v], each partial sum one term past the last
+        row, out = [], {}
+        for l in range(v):
+            add_product(out, hom(s - l), sigma[l], n, None, -1 if l & 1 else 1)
+            row.append(polyring._nonzero(out))
+        return row
 
     @cache
-    def a_poly(k, l):
-        acc = IntPolynomial.zero(n)
+    def a_terms(k, top):  # a(k, l) with top = min(k + l, v)
+        out = {}
         for beta in range(v):
-            inner = IntPolynomial.zero(n)
-            for alpha in range(k + l + 1):
-                term = sig(alpha) * H(k + beta - alpha, beta)
-                inner = inner + (term if alpha % 2 == 0 else -term)
-            if not inner.is_zero():
-                acc = acc + inner * _power_of_variable(n, attach, beta)
-        return acc
+            for alpha in range(top + 1):
+                add_product(out, sig(alpha, beta), H(k + beta - alpha)[beta],
+                            n, None, -1 if alpha & 1 else 1)
+        return polyring._nonzero(out)
 
-    occupied = [i for i, c in enumerate(coeffs) if not c.is_zero()]
+    size = len(coeffs)
+    occupied = [i for i, c in enumerate(coeffs) if c]
     new = []
     for t in range(size + 3):
-        acc = IntPolynomial.zero(n)
+        out = {}
         for i in occupied:
-            acc = acc + coeffs[i] * a_poly(t - i, i)
-        new.append(acc)
+            add_product(out, coeffs[i], a_terms(t - i, min(t, v)), n, None)
+        new.append(polyring._nonzero(out))
     for t in range(size, size + 3):
-        if not new[t].is_zero():
+        if new[t]:
             raise AssertionError(
                 "symmetric recursion overflowed %d coefficient slots at "
                 "stage %d" % (size, stage))
     return new[:size]
-
-
-def _pad(poly, n):
-    """Reinterpret a polynomial in fewer variables inside n variables."""
-    extra = n - poly.num_vars
-    if extra < 0:
-        raise polyring.DimensionError("cannot shrink variable count")
-    return IntPolynomial._trusted(
-        n, {k << polyring._WIDTH * extra: c for k, c in poly._terms.items()})
-
-
-def _power_of_variable(n, index, power):
-    """z_index^power in n variables."""
-    return IntPolynomial._trusted(
-        n, {power * polyring._monomial_key(n, index): 1})
 
 
 # ---------------------------------------------------------------------------

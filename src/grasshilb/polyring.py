@@ -255,10 +255,12 @@ class IntPolynomial:
         if operand is None:
             return NotImplemented
         terms, cap = operand
-        merged = _merge(self._terms, terms)
+        merged = dict(self._terms)
+        for k, c in terms.items():
+            merged[k] = merged.get(k, 0) + c
         if cap is not None:
             merged = _truncated(merged, self.num_vars, cap)
-        return IntPolynomial._trusted(self.num_vars, merged, cap)
+        return IntPolynomial._trusted(self.num_vars, _nonzero(merged), cap)
 
     __radd__ = __add__
 
@@ -278,9 +280,8 @@ class IntPolynomial:
         if operand is None:
             return NotImplemented
         terms, cap = operand
-        return IntPolynomial._trusted(
-            self.num_vars, _multiply(self._terms, terms, self.num_vars, cap),
-            cap)
+        return IntPolynomial._trusted(self.num_vars, _nonzero(_add_product(
+            {}, self._terms, terms, self.num_vars, cap)), cap)
 
     __rmul__ = __mul__
 
@@ -324,44 +325,41 @@ class TruncatedSeries(IntPolynomial):
                    _validated_terms(num_vars, terms or {}, max_total_degree))
 
 
-def _merge(terms_a, terms_b):
-    out = dict(terms_a)
-    for k, c in terms_b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _truncated(terms, num_vars, cap):
     limit = (cap + 1) << _WIDTH * num_vars
     return {k: c for k, c in terms.items() if k < limit}
 
 
-def _multiply(terms_a, terms_b, num_vars, cap):
-    """Product of two packed term dicts through total degree `cap` (None:
-    exact).  Keys add; terms_b is sorted by key, so for each term of
-    terms_a the inner loop stops before the first product past the cap."""
+def _add_product(out, terms_a, terms_b, num_vars, cap, scale=1):
+    """Add scale * a * b through total degree `cap` (None: exact) into the
+    packed term dict `out`, keeping cancelled sums as zeros for the caller
+    to drop once.  With a cap, terms_b is sorted by key, so for each term
+    of terms_a the inner loop stops before the first product past it."""
     if not terms_a or not terms_b:
-        return {}
+        return out
     if len(terms_a) > len(terms_b):
         terms_a, terms_b = terms_b, terms_a
     shift = _WIDTH * num_vars
-    if cap is None:  # no product goes past the two top degrees
-        cap = (max(terms_a) >> shift) + (max(terms_b) >> shift)
-        _check_degree(cap, "product degree")
-    limit = (cap + 1) << shift
-    items_b = sorted(terms_b.items())
-    keys_b = [kb for kb, _ in items_b]
-    out = {}
+    if cap is None:  # no product goes past the two top degrees: no cut
+        _check_degree((max(terms_a) >> shift) + (max(terms_b) >> shift),
+                      "product degree")
+        items_b, keys_b = terms_b.items(), None
+    else:
+        limit = (cap + 1) << shift
+        items_b = sorted(terms_b.items())
+        keys_b = [kb for kb, _ in items_b]
     get = out.get
     for ka, ca in terms_a.items():
-        for kb, cb in items_b[:bisect_left(keys_b, limit - ka)]:
+        ca *= scale
+        for kb, cb in (items_b if keys_b is None
+                       else items_b[:bisect_left(keys_b, limit - ka)]):
             key = ka + kb
             out[key] = get(key, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+    return out
+
+
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
 
 
 def truncate(obj, max_total_degree):

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import grasshilb
 from grasshilb import hilbert
 from grasshilb.cli import main
 from grasshilb.polyring import from_json_dict, to_json_dict
-from grasshilb.hilbert import series_by_recursion
+from grasshilb.hilbert import (numerator_symmetric_recursion,
+                               series_by_recursion, series_from_numerator)
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +34,16 @@ def test_numerator_sym_matches_ie(capsys):
     _, out_ie, _ = run_cli(capsys, "numerator", "--n", "5", "--method", "ie")
     _, out_sym, _ = run_cli(capsys, "numerator", "--n", "5", "--method", "sym")
     assert out_ie == out_sym
+
+
+def test_numerator_sym_at_n7(capsys):
+    code, out, _ = run_cli(capsys, "numerator", "--n", "7", "--method", "sym",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0b422fc7122f2ffb3e5de44a7e7bbe6bafb207da759af5e2802feb6180ec075b")
+    assert series_from_numerator(numerator_symmetric_recursion(7), 10) == \
+        series_by_recursion(7, 10)
 
 
 def test_numerator_json_round_trips(capsys):
@@ -276,6 +288,7 @@ def test_usage_error_exit_code():
     (["series", "--n", "6", "--max-degree", "60", "--method", "numerator"],
      "capacity"),
     (["series", "--n", "2", "--max-degree", "65536"], "precision"),
+    (["numerator", "--n", "10", "--method", "sym"], "capacity"),
 ])
 def test_oversized_requests_exit_3_at_once(argv, reason):
     # a subprocess, so that a request that does run is cut by the timeout

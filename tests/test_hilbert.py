@@ -2,12 +2,14 @@
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
 from grasshilb.fixtures import GOLDEN_RANGE, golden_numerator
 from grasshilb.hilbert import (
     EXC_LIMIT,
+    SYM_LIMIT,
     CapacityError,
     _pool_size,
     cross_validate,
@@ -101,6 +103,12 @@ def test_numerator_capacity_error():
     assert len(embracing_configurations(7)) == 35 > EXC_LIMIT
     with pytest.raises(CapacityError):
         numerator_inclusion_exclusion(7)
+    with pytest.raises(CapacityError):
+        numerator_symmetric_recursion(SYM_LIMIT + 1)
+    report = cross_validate(SYM_LIMIT + 1, 2, methods=("symmetric-recursion",),
+                            permutations=0)
+    assert report.checks[0].status == "fail"
+    assert report.checks[0].detail.startswith("capacity: ")
 
 
 def test_oversized_sweeps_refused_up_front():
@@ -129,6 +137,18 @@ def test_numerator_constant_term():
     for n in range(2, 7):
         poly = numerator_symmetric_recursion(n).polynomial
         assert poly.coefficient((0,) * n) == 1
+
+
+@pytest.mark.parametrize("build, n", [
+    *[(numerator_symmetric_recursion, n) for n in range(4, 8)],
+    *[(numerator_inclusion_exclusion, n) for n in range(4, 7)],
+])
+def test_numerator_is_gorenstein_symmetric(build, n):
+    # every coefficient: c at z^e and (-1)^C(n-2,2) c at z^((n-3,...)-e)
+    terms = build(n).polynomial.terms
+    sign = (-1) ** comb(n - 2, 2)
+    for e, c in terms.items():
+        assert terms.get(tuple(n - 3 - x for x in e)) == sign * c
 
 
 def test_series_from_numerator_matches_recursion():

@@ -24,6 +24,7 @@ from grasshilb.polyring import (
     to_json_text,
     truncate,
 )
+from grasshilb import polyring
 
 
 def random_poly(rng, num_vars, max_terms=6, max_exp=3, max_coeff=9):
@@ -79,6 +80,38 @@ def test_ring_axioms_random():
         assert a - a == IntPolynomial.zero(nv)
         assert a * IntPolynomial.one(nv) == a
         assert a * 0 == IntPolynomial.zero(nv)
+
+
+def _tuple_product(a, b, cap):
+    """a * b through total degree `cap` (None: exact), on exponent tuples."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if cap is None or sum(e) <= cap:
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def test_add_product_accumulates_the_tuple_product():
+    rng = random.Random(107)
+    for trial in range(40):
+        nv = rng.randint(1, 4)
+        # trial % 4: bit 1 makes a a series, bit 2 makes b one
+        caps = [rng.randint(0, 8) if trial & bit else None for bit in (1, 2)]
+        a, b = [random_poly(rng, nv, max_terms=8) for _ in caps]
+        a, b = [x if c is None else truncate(x, c) for x, c in zip((a, b), caps)]
+        cap = min([c for c in caps if c is not None], default=None)
+        # a start no product can cancel: its exponents are past max_exp
+        start = random_poly(rng, nv) + IntPolynomial.monomial(nv, [9] * nv)
+        scale = rng.choice((1, -1))
+        out = dict(start._terms)
+        polyring._add_product(out, a._terms, b._terms, nv, cap, scale)
+        expected = start.terms
+        for e, c in _tuple_product(a.terms, b.terms, cap).items():
+            expected[e] = expected.get(e, 0) + scale * c
+        got = IntPolynomial._trusted(nv, polyring._nonzero(out)).terms
+        assert got == {e: c for e, c in expected.items() if c}
 
 
 def test_int_coercion_and_pow():
