@@ -12,7 +12,8 @@ Subcommands:
   fixtures    built-in golden numerators n=2..5
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse error, 3 capacity exceeded,
+1 verification failure (a `verify cross` route refused for capacity is
+a skip, not a failure), 2 usage or parse error, 3 capacity exceeded,
 4 internal error (the traceback goes to stderr).
 Output is deterministic byte-for-byte, including under --jobs.
 """
@@ -74,9 +75,6 @@ def cmd_series(args):
 def cmd_numerator(args):
     if args.method == "ie":
         tree = _load_tree(args.tree) if args.tree else None
-        if tree is not None and tree.n_leaves != args.n:
-            raise ValueError("tree has %d leaves but --n is %d"
-                             % (tree.n_leaves, args.n))
         result = hilbert.numerator_inclusion_exclusion(args.n, tree=tree)
     else:
         if args.tree:

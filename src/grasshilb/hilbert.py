@@ -17,7 +17,7 @@ the lam-graded piece of the Grassmannian coordinate ring.  The methods:
 * the count_gradation oracle from the semigroup module.
 
 cross_validate runs all of them against each other coefficient by
-coefficient and reports structured pass/fail results.
+coefficient and reports structured pass/fail/skip results.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ EXC_LIMIT = 20
 #: the terms of F_{n-1}, and F_9 has 1,109,314.
 SYM_LIMIT = 9
 
+#: Seeded variable permutations the invariance check of cross_validate tries.
+_PERMUTATIONS = 5
 _PERMUTATION_SEED = 271828
 
 
@@ -55,18 +57,11 @@ class NumeratorResult:
     def is_conjectural(self):
         return self.method == "symmetric-recursion"
 
-    def to_json_dict(self):
-        data = polyring.to_json_dict(self.polynomial)
-        data["n"] = self.n
-        data["method"] = self.method
-        data["conjectural"] = self.is_conjectural
-        return data
-
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    status: str   # "pass" | "fail"
+    status: str   # "pass" | "fail" | "skip"
     detail: str
 
     def to_json_dict(self):
@@ -81,7 +76,7 @@ class CrossReport:
 
     @property
     def passed(self):
-        return all(c.status == "pass" for c in self.checks)
+        return all(c.status != "fail" for c in self.checks)
 
     def to_json_dict(self):
         return {"n": self.n, "cap": self.cap,
@@ -302,42 +297,37 @@ def _symmetric_step(coeffs, stage, n):
 # ---------------------------------------------------------------------------
 # cross-validation
 
-ALL_METHODS = ("inclusion-exclusion", "symmetric-recursion", "oracle")
-
 
 def _oracle_count(args):
     n, lam = args
     return semigroup.count_gradation(n, lam)
 
 
-def cross_validate(n, max_total_degree, methods=ALL_METHODS, permutations=5,
-                   jobs=1, seed=_PERMUTATION_SEED):
+def cross_validate(n, max_total_degree, jobs=1):
     """Check the independent methods against each other through the cap.
 
-    The recursion series is the reference.  Each requested method adds a
-    pass/fail entry; a final entry checks invariance of the series under
-    `permutations` seeded random variable permutations.  Failures are
-    reported with the first differing grading, never raised.
+    The recursion series is the reference: it is compared with the
+    inclusion-exclusion and symmetric-recursion series and the oracle,
+    and must not move under _PERMUTATIONS seeded variable permutations.
+    A failing check names the first differing grading, never raises; a
+    route refused with CapacityError is a skip, which does not fail.
     """
     cap = max_total_degree
     reference = series_by_recursion(n, cap)
-    checks = []
-
-    if "inclusion-exclusion" in methods:
-        checks.append(_series_check(
+    checks = [
+        _series_check(
             "recursion-vs-inclusion-exclusion", reference,
-            lambda: series_from_numerator(numerator_inclusion_exclusion(n), cap)))
-    if "symmetric-recursion" in methods:
-        checks.append(_series_check(
+            lambda: series_from_numerator(numerator_inclusion_exclusion(n), cap)),
+        _series_check(
             "recursion-vs-symmetric-recursion-conjectural", reference,
-            lambda: series_from_numerator(numerator_symmetric_recursion(n), cap)))
-    if "oracle" in methods:
-        checks.append(_oracle_check(reference, jobs))
+            lambda: series_from_numerator(numerator_symmetric_recursion(n), cap)),
+        _oracle_check(reference, jobs),
+    ]
 
-    rng = random.Random(seed)
+    rng = random.Random(_PERMUTATION_SEED)
     perms_used = []
     status, detail = "pass", ""
-    for _ in range(permutations):
+    for _ in range(_PERMUTATIONS):
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         perms_used.append(tuple(perm))
@@ -357,18 +347,13 @@ def _series_check(name, reference, build):
     try:
         other = build()
     except CapacityError as exc:
-        return CheckResult(name, "fail", "capacity: %s" % exc)
-    if other._terms == reference._terms:
+        return CheckResult(name, "skip", "capacity: %s" % exc)
+    if other == reference:
         return CheckResult(name, "pass",
                            "%d coefficients agree" % len(reference._terms))
-    for e in iter_exponents(reference.num_vars, reference.max_total_degree):
-        a = reference.coefficient(e)
-        b = other.coefficient(e)
-        if a != b:
-            return CheckResult(
-                name, "fail",
-                "first difference at %r: %d vs %d" % (list(e), a, b))
-    raise AssertionError("unreachable")
+    e = polyring._canonical_terms(reference - other)[0][0]
+    return CheckResult(name, "fail", "first difference at %r: %d vs %d" % (
+        list(e), reference.coefficient(e), other.coefficient(e)))
 
 
 def _pool_size(jobs, cpus):

@@ -92,8 +92,12 @@ def _pack(exps):
     return int.from_bytes(_layout(len(exps)).pack(sum(exps), *exps), "big")
 
 
-def _unpack(key, num_vars):
-    return _layout(num_vars).unpack(key.to_bytes(2 * num_vars + 2, "big"))[1:]
+def _exponents(keys, num_vars):
+    """The exponent tuples of packed `keys`, in order, from one unpack
+    over the joined key bytes."""
+    layout = _layout(num_vars)
+    data = b"".join([k.to_bytes(layout.size, "big") for k in keys])
+    return [e[1:] for e in layout.iter_unpack(data)]
 
 
 def _monomial_key(num_vars, *indices):
@@ -183,7 +187,8 @@ class IntPolynomial:
     @property
     def terms(self):
         """A new dict from exponent tuple to nonzero coefficient."""
-        return {_unpack(k, self.num_vars): c for k, c in self._terms.items()}
+        return dict(zip(_exponents(self._terms, self.num_vars),
+                        self._terms.values()))
 
     # -- constructors
 
@@ -284,14 +289,6 @@ class IntPolynomial:
             {}, self._terms, terms, self.num_vars, cap)), cap)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative int")
-        result = IntPolynomial.one(self.num_vars)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         return (isinstance(other, IntPolynomial)
@@ -510,10 +507,10 @@ def _canonical_terms(obj):
     """The (exponent tuple, coefficient) pairs of a store in canonical
     order: flipping the bits below the degree slot reverses the key order
     within each degree."""
-    n = obj.num_vars
-    below_degree = (1 << _WIDTH * n) - 1
-    return [(_unpack(k, n), obj._terms[k])
-            for k in sorted(obj._terms, key=below_degree.__xor__)]
+    below_degree = (1 << _WIDTH * obj.num_vars) - 1
+    keys = sorted(obj._terms, key=below_degree.__xor__)
+    return list(zip(_exponents(keys, obj.num_vars),
+                    map(obj._terms.__getitem__, keys)))
 
 
 def _format_monomial(exps, coeff):
@@ -523,17 +520,14 @@ def _format_monomial(exps, coeff):
     return "*".join(factors)
 
 
-def format_terms(terms):
-    """Render a polynomial, series, or dict from exponent tuple to
-    coefficient as text, e.g. ``1 - z1*z2*z3*z4``.
+def format_terms(obj):
+    """Render a polynomial or series as text, e.g. ``1 - z1*z2*z3*z4``.
 
     Terms appear in canonical order; ``^1`` and a ``1*`` coefficient are
     elided; the zero polynomial renders as ``0``.
     """
-    if not isinstance(terms, IntPolynomial):
-        terms = IntPolynomial(len(next(iter(terms), ())), terms)
     parts = []
-    for e, c in _canonical_terms(terms):
+    for e, c in _canonical_terms(obj):
         mono = _format_monomial(e, c)
         if not parts:
             parts.append(mono if c > 0 else "-" + mono)

@@ -94,10 +94,6 @@ class SemigroupElement:
     values: tuple
     decomposition: PathMultiset
 
-    def to_json_dict(self):
-        return {"values": list(self.values),
-                "decomposition": self.decomposition.to_json_dict()}
-
 
 def _check_values(tree, values):
     values = tuple(values)
@@ -221,7 +217,6 @@ def _select_cherry(tree):
 
 def is_member(tree, values):
     """True when the edge vector lies in the path semigroup."""
-    values = _check_values(tree, values)
     try:
         decompose(tree, values)
     except NotInSemigroupError:

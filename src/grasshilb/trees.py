@@ -59,10 +59,6 @@ class IntersectionResult:
     kind: str                 # "disjoint" | "ordered" | "unordered"
     dual: tuple | None        # the other intersecting pairing, if any
 
-    def to_json_dict(self):
-        return {"kind": self.kind,
-                "dual": [list(p) for p in self.dual] if self.dual else None}
-
 
 @dataclass(frozen=True)
 class IdealRelation:

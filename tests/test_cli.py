@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -85,6 +86,19 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert out == ""
     assert "internal error" in err
     assert "AssertionError: self-check failed" in err
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, and with them a self-check
+    package = Path(grasshilb.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, "%s has assert statements at lines %s" % (
+            path.name, lines)
 
 
 def test_dim_text(capsys):
@@ -221,6 +235,19 @@ def test_verify_cross(capsys):
     data = json.loads(out)
     assert data["n"] == 4
     assert all(c["status"] == "pass" for c in data["checks"])
+
+
+def test_verify_cross_skips_a_route_refused_for_capacity(capsys):
+    code, out, _ = run_cli(capsys, "verify", "cross", "--n", "7",
+                           "--max-degree", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == ("recursion-vs-inclusion-exclusion: skip (capacity: 35 "
+                        "excluded configurations exceed the limit 20; use the "
+                        "recursion method)")
+    statuses = [line.split(": ")[1].split(" ")[0] for line in lines[1:5]]
+    assert statuses == ["skip", "pass", "pass", "pass"]
+    assert lines[-1] == "result: PASS"
 
 
 def test_verify_cross_deterministic_across_jobs(capsys):

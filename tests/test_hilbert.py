@@ -21,6 +21,7 @@ from grasshilb.hilbert import (
     series_from_numerator,
 )
 from grasshilb.polyring import (
+    IntPolynomial,
     PrecisionError,
     all_pairs,
     format_terms,
@@ -105,10 +106,13 @@ def test_numerator_capacity_error():
         numerator_inclusion_exclusion(7)
     with pytest.raises(CapacityError):
         numerator_symmetric_recursion(SYM_LIMIT + 1)
-    report = cross_validate(SYM_LIMIT + 1, 2, methods=("symmetric-recursion",),
-                            permutations=0)
-    assert report.checks[0].status == "fail"
-    assert report.checks[0].detail.startswith("capacity: ")
+    report = cross_validate(SYM_LIMIT + 1, 2)
+    skipped = [c for c in report.checks if c.status == "skip"]
+    assert [c.name for c in skipped] == [
+        "recursion-vs-inclusion-exclusion",
+        "recursion-vs-symmetric-recursion-conjectural"]
+    assert all(c.detail.startswith("capacity: ") for c in skipped)
+    assert report.passed
 
 
 def test_oversized_sweeps_refused_up_front():
@@ -236,16 +240,18 @@ def test_cross_validate_detects_corruption(monkeypatch):
     import grasshilb.hilbert as hilbert_module
 
     real = hilbert_module.numerator_inclusion_exclusion
+    for extra, detail in [(1, "first difference at [0, 0, 0, 0]: 1 vs 2"),
+                          (IntPolynomial.monomial(4, (1, 1, 1, 1)),
+                           "first difference at [1, 1, 1, 1]: 2 vs 3")]:
+        def corrupted(n, tree=None):
+            result = real(n, tree)
+            poly = result.polynomial + extra
+            return hilbert_module.NumeratorResult(n, poly, result.method)
 
-    def corrupted(n, tree=None):
-        result = real(n, tree)
-        poly = result.polynomial + 1
-        return hilbert_module.NumeratorResult(n, poly, result.method)
-
-    monkeypatch.setattr(hilbert_module, "numerator_inclusion_exclusion",
-                        corrupted)
-    report = cross_validate(4, 6)
-    assert not report.passed
-    failing = [c for c in report.checks if c.status == "fail"]
-    assert failing
-    assert all("inclusion-exclusion" in c.name for c in failing)
+        monkeypatch.setattr(hilbert_module, "numerator_inclusion_exclusion",
+                            corrupted)
+        report = cross_validate(4, 6)
+        assert not report.passed
+        failing = [c for c in report.checks if c.status == "fail"]
+        assert [(c.name, c.detail) for c in failing] == [
+            ("recursion-vs-inclusion-exclusion", detail)]

@@ -114,14 +114,12 @@ def test_add_product_accumulates_the_tuple_product():
         assert got == {e: c for e, c in expected.items() if c}
 
 
-def test_int_coercion_and_pow():
+def test_int_coercion():
     rng = random.Random(102)
     p = random_poly(rng, 3)
     assert p + 0 == p
     assert 1 + p == p + IntPolynomial.one(3)
     assert 2 * p == p + p
-    assert p ** 0 == IntPolynomial.one(3)
-    assert p ** 3 == p * p * p
 
 
 def test_total_degree():
@@ -137,7 +135,6 @@ def test_format_canonical_order():
     assert format_terms(s2) == "z1*z2 + z1*z3 + z2*z3"
     assert format_terms(IntPolynomial.zero(4)) == "0"
     assert format_terms(IntPolynomial(2, {(0, 0): -1, (1, 1): 2})) == "-1 + 2*z1*z2"
-    assert format_terms({(0, 0): 1, (1, 1): -1}) == "1 - z1*z2"
 
 
 def test_symmetric_polynomial_edge_cases():
@@ -187,7 +184,7 @@ def test_canonical_order_matches_the_tuple_sort():
         terms = p.terms
         assert [tuple(t["e"]) for t in to_json_dict(p)["terms"]] == \
             canonical_sort(terms)
-        assert format_terms(p) == format_terms(terms) == reference_text(terms)
+        assert format_terms(p) == reference_text(terms)
 
 
 def test_terms_round_trip_through_the_constructors():
@@ -220,6 +217,8 @@ def test_degree_past_the_key_limit():
             build()
     top = IntPolynomial.monomial(2, (limit - 1, 0))
     assert top.total_degree() == limit - 1
+    assert top.terms == {(limit - 1, 0): 1}
+    assert IntPolynomial(2, top.terms) == top
     assert top.coefficient((limit - 1, 0)) == 1
     assert top.coefficient((limit, 0)) == 0
     with pytest.raises(PrecisionError):
@@ -369,8 +368,9 @@ BIG = (1 << 64) + 3
     TruncatedSeries(3, 0, {(0, 0, 0): -2}),
     TruncatedSeries(0, 5, {(): 1}),
     IntPolynomial(3, {(1, 0, 2): -BIG, (0, 0, 0): BIG * BIG, (4, 4, 4): -1}),
+    IntPolynomial(2, {(65535, 0): 1, (0, 65535): -1}),
 ], ids=["0-vars", "0-vars-constant", "zero-3-vars", "uncapped", "cap-0-zero",
-        "cap-0", "0-vars-series", "big-coefficients"])
+        "cap-0", "0-vars-series", "big-coefficients", "full-key-slots"])
 def test_json_text_matches_json_dumps(obj):
     assert to_json_text(obj) == json.dumps(to_json_dict(obj), indent=2)
 
