@@ -493,9 +493,14 @@ def permute_variables(obj, perm):
     n = obj.num_vars
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (perm, n))
-    source = sorted(range(n), key=perm.__getitem__)  # z_j's old index
+    # the key slot of z_i moves to that of z_perm[i]; the degree slot,
+    # taken as variable 0, stays
+    slot = (1 << _WIDTH) - 1
+    moves = [(_WIDTH * (n - i), _WIDTH * (n - j))
+             for i, j in enumerate((0,) + perm)]
     return IntPolynomial._trusted(
-        n, {_pack([e[i] for i in source]): c for e, c in obj.terms.items()},
+        n, {sum([(k >> s & slot) << t for s, t in moves]): c
+            for k, c in obj._terms.items()},
         obj.max_total_degree)
 
 

@@ -3,11 +3,13 @@
 Elements are non-negative integer edge vectors expressible as sums of
 leaf-to-leaf path indicators.  Every element has exactly one decomposition
 in which no two chosen paths intersect in an unordered way; decompose()
-finds it by peeling one cherry (a vertex with two consecutive leaves) at a
-time.  With x_a, x_b the cherry's leaf-edge values and x_v the value on
-its third edge, the cherry pair is used a = (x_a + x_b - x_v)/2 times, and
-the x_v paths running through the cherry vertex split so that the ones
-with the smallest far endpoints attach to the smaller leaf.
+finds it by peeling cherries (vertices with two consecutive leaves) on the
+tree itself, in the order of Tree.peel_order(), down to three leaves.
+With x_a, x_b the cherry's leaf-edge values and x_v the value on its third
+edge, the cherry pair is used a = (x_a + x_b - x_v)/2 times, and the x_v
+paths running through the cherry vertex split so that the ones with the
+smallest far endpoints attach to the smaller leaf.  Diagnostics name the
+tree's own leaves.
 
 The gradation of an element restricts it to the leaf edges.  The number
 of elements in a gradation equals the number of multisets of leaf pairs
@@ -38,6 +40,10 @@ class PathMultiset:
 
     @classmethod
     def from_dict(cls, mapping):
+        for pair, m in mapping.items():
+            if not isinstance(m, int):
+                raise TypeError("multiplicity %r for pair %r is not an int"
+                                % (m, tuple(pair)))
         items = tuple(sorted((tuple(p), m) for p, m in mapping.items() if m))
         for (i, j), m in items:
             if m < 0:
@@ -100,6 +106,9 @@ def _check_values(tree, values):
     if len(values) != tree.edge_count:
         raise ValueError("expected %d edge values, got %d"
                          % (tree.edge_count, len(values)))
+    for k, v in enumerate(values, start=1):
+        if not isinstance(v, int):
+            raise TypeError("value %r on edge %d is not an int" % (v, k))
     return values
 
 
@@ -125,94 +134,65 @@ def _decompose(tree, values):
     n = tree.n_leaves
     if n == 2:
         return {(1, 2): values[0]}
-    if n == 3:
-        x = [values[tree.leaf_edge(i) - 1] for i in (1, 2, 3)]
-        counts = {}
-        for (a, b, c) in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
-            twice = x[a - 1] + x[b - 1] - x[c - 1]
-            if twice % 2:
-                raise NotInSemigroupError(
-                    "leaf values x%d + x%d - x%d = %d is odd" % (a, b, c, twice))
-            if twice < 0:
-                raise NotInSemigroupError(
-                    "leaf values give negative count (x%d + x%d - x%d)/2 = %d"
-                    % (a, b, c, twice // 2))
-            counts[(a, b)] = twice // 2
-        return counts
+    # forward: peel the cherries, the cherry vertex taking l1's place
+    leaf_edge = {i: tree.leaf_edge(i) for i in range(1, n + 1)}
+    lifts = []
+    for l1, l2, edge in tree.peel_order():
+        x1 = values[leaf_edge[l1] - 1]
+        x2 = values[leaf_edge.pop(l2) - 1]
+        leaf_edge[l1] = edge
+        twice = x1 + x2 - values[edge - 1]
+        if twice % 2:
+            raise NotInSemigroupError(
+                "cherry (%d, %d): x%d + x%d - x_v = %d is odd"
+                % (l1, l2, l1, l2, twice))
+        a = twice // 2
+        if a < 0:
+            raise NotInSemigroupError(
+                "cherry (%d, %d): pair count (x%d + x%d - x_v)/2 = %d is negative"
+                % (l1, l2, l1, l2, a))
+        y1 = x1 - a
+        y2 = x2 - a
+        if y1 < 0 or y2 < 0:
+            raise NotInSemigroupError(
+                "cherry (%d, %d): through-path count y%d = %d is negative"
+                % (l1, l2, l1 if y1 < 0 else l2, min(y1, y2)))
+        lifts.append((l1, l2, a, y1, y2))
 
-    vertex, l1, l2 = _select_cherry(tree)
-    x1 = values[tree.leaf_edge(l1) - 1]
-    x2 = values[tree.leaf_edge(l2) - 1]
-    third = [eidx for eidx in tree.incident_edges(vertex)
-             if eidx not in (tree.leaf_edge(l1), tree.leaf_edge(l2))]
-    if len(third) != 1:
-        raise AssertionError("cherry vertex %d has %d non-leaf edges"
-                             % (vertex, len(third)))
-    xv = values[third[0] - 1]
-    twice = x1 + x2 - xv
-    if twice % 2:
-        raise NotInSemigroupError(
-            "cherry (%d, %d): x%d + x%d - x_v = %d is odd" % (l1, l2, l1, l2, twice))
-    a = twice // 2
-    if a < 0:
-        raise NotInSemigroupError(
-            "cherry (%d, %d): pair count (x%d + x%d - x_v)/2 = %d is negative"
-            % (l1, l2, l1, l2, a))
-    y1 = x1 - a
-    y2 = x2 - a
-    if y1 < 0 or y2 < 0:
-        raise NotInSemigroupError(
-            "cherry (%d, %d): through-path count y%d = %d is negative"
-            % (l1, l2, l1 if y1 < 0 else l2, min(y1, y2)))
-
-    sub, leaf_map, edge_numbers = tree.peel_cherry(vertex, l1, l2)
-    sub_values = tuple(values[k - 1] for k in edge_numbers)
-    sub_counts = _decompose(sub, sub_values)
-
-    # lift: paths ending at the collapsed vertex reattach to l1 or l2,
-    # smallest far endpoints first to l1
-    vn = l1
-    through = []
+    # base: the three remaining leaves
+    p, q, r = sorted(leaf_edge)
+    x = {i: values[leaf_edge[i] - 1] for i in (p, q, r)}
     counts = {}
-    for (i, j), mult in sub_counts.items():
-        if not mult:
-            continue
-        if i == vn or j == vn:
-            other = j if i == vn else i
-            through.extend([other] * mult)
-        else:
-            oi, oj = leaf_map[i], leaf_map[j]
-            pair = (oi, oj) if oi < oj else (oj, oi)
-            counts[pair] = counts.get(pair, 0) + mult
-    through.sort()
-    if len(through) != y1 + y2:
-        raise AssertionError(
-            "cherry (%d, %d): %d through-paths lifted, expected %d"
-            % (l1, l2, len(through), y1 + y2))
-    for pos, other in enumerate(through):
-        old = leaf_map[other]
-        target = l1 if pos < y1 else l2
-        pair = (old, target) if old < target else (target, old)
-        counts[pair] = counts.get(pair, 0) + 1
-    if a:
-        counts[(l1, l2)] = counts.get((l1, l2), 0) + a
+    for a, b, c in ((p, q, r), (p, r, q), (q, r, p)):
+        twice = x[a] + x[b] - x[c]
+        if twice % 2:
+            raise NotInSemigroupError(
+                "leaf values x%d + x%d - x%d = %d is odd" % (a, b, c, twice))
+        if twice < 0:
+            raise NotInSemigroupError(
+                "leaf values give negative count (x%d + x%d - x%d)/2 = %d"
+                % (a, b, c, twice // 2))
+        counts[(a, b)] = twice // 2
+
+    # lift, last peel first: the paths ending at the cherry vertex (now
+    # labelled l1) reattach to l1 or l2, smallest far endpoints to l1
+    for l1, l2, a, y1, y2 in reversed(lifts):
+        through = []
+        for pair in [pair for pair in counts if l1 in pair]:
+            other = pair[0] if pair[1] == l1 else pair[1]
+            through.extend([other] * counts.pop(pair))
+        through.sort()
+        if len(through) != y1 + y2:
+            raise AssertionError(
+                "cherry (%d, %d): %d through-paths lifted, expected %d"
+                % (l1, l2, len(through), y1 + y2))
+        for pos, other in enumerate(through):
+            target = l1 if pos < y1 else l2
+            pair = (other, target) if other < target else (target, other)
+            counts[pair] = counts.get(pair, 0) + 1
+        if a:
+            counts[(l1, l2)] = a
     return counts
-
-
-def _select_cherry(tree):
-    cherries = tree.cherries()
-    if tree.kind == "caterpillar":
-        # peel the deepest cherry so that dropping the last two edge
-        # coordinates is the projection onto the smaller caterpillar
-        want = (tree.n_leaves - 1, tree.n_leaves)
-        for v, l1, l2 in cherries:
-            if (l1, l2) == want:
-                return v, l1, l2
-        raise AssertionError("caterpillar without its last cherry")
-    for v, l1, l2 in cherries:
-        if (l1, l2) != (1, tree.n_leaves):
-            return v, l1, l2
-    raise AssertionError("no non-wrap cherry found")
 
 
 def is_member(tree, values):

@@ -85,14 +85,15 @@ class Tree:
     """3-valent tree with numbered leaves and numbered edges.
 
     Construct through caterpillar() or parse_tree(); the raw constructor
-    expects a consistent vertex/edge layout.
+    expects a consistent vertex/edge layout.  The path semigroup is
+    decomposed on the tree itself: peel_order() lists its cherries in the
+    tree's own leaf and edge numbers, which the diagnostics also use.
     """
 
-    def __init__(self, n_leaves, edges, leaf_vertices, kind="general"):
+    def __init__(self, n_leaves, edges, leaf_vertices):
         self.n_leaves = n_leaves
         self.edges = list(edges)                  # edge k -> edges[k-1] = (u, v)
         self.leaf_vertices = list(leaf_vertices)  # leaf i -> leaf_vertices[i-1]
-        self.kind = kind
         self._adj = {}
         for idx, (u, v) in enumerate(self.edges, start=1):
             self._adj.setdefault(u, []).append((v, idx))
@@ -121,16 +122,9 @@ class Tree:
 
     def leaf_edge(self, i):
         """Edge number of the single edge incident to leaf i."""
-        self._check_leaf(i)
-        return self._adj[self.leaf_vertices[i - 1]][0][1]
-
-    def incident_edges(self, vertex):
-        """Edge numbers meeting the given vertex."""
-        return [eidx for _, eidx in self._adj[vertex]]
-
-    def _check_leaf(self, i):
         if not 1 <= i <= self.n_leaves:
             raise ValueError("leaf %d out of range 1..%d" % (i, self.n_leaves))
+        return self._adj[self.leaf_vertices[i - 1]][0][1]
 
     def path(self, i, j):
         """Indicator vector of the path from leaf i to leaf j; needs i < j."""
@@ -165,64 +159,43 @@ class Tree:
         """Number of edges on the path between leaves i < j."""
         return len(self.path(i, j))
 
-    def cherries(self):
-        """Vertices adjacent to exactly two leaves, as (vertex, l1, l2)
-        with l1 < l2, sorted by (l1, l2)."""
-        leaf_of = {v: i for i, v in enumerate(self.leaf_vertices, start=1)}
-        found = []
-        for v, nbrs in self._adj.items():
-            if v in leaf_of:
-                continue
-            leaves = sorted(leaf_of[w] for w, _ in nbrs if w in leaf_of)
-            if len(leaves) == 2:
-                found.append((v, leaves[0], leaves[1]))
-        found.sort(key=lambda t: (t[1], t[2]))
-        return found
+    def peel_order(self):
+        """The cherry steps (l1, l2, edge) that reduce the tree to three
+        leaves, in the tree's own leaf and edge numbers.
 
-    def peel_cherry(self, vertex, l1, l2):
-        """Remove leaves l1 < l2 of the cherry at `vertex`, which becomes a
-        leaf of the smaller tree.
-
-        Returns (subtree, leaf_map, edge_numbers) where leaf_map sends the
-        subtree's leaf numbers to the original ones (the new leaf maps to
-        l1, standing in for both), and edge_numbers[k-1] is the original
-        number of the subtree's edge k.  The surviving leaves keep their
-        circular order; the cherry {1, n} is rejected because no
-        renumbering of the peeled tree preserves canonical decompositions
-        in that case.
+        Each step takes the smallest cherry (a vertex next to remaining
+        leaves l1 < l2) other than the pair of the smallest and largest
+        remaining leaf; its vertex then stands in for l1, with its third
+        edge `edge` as l1's leaf edge.  Raises ValueError when l1 and l2 are
+        not adjacent among the remaining leaves (a non-planar numbering).
         """
-        n = self.n_leaves
-        if n < 4:
-            raise ValueError("peeling needs at least 4 leaves")
-        if (l1, l2) == (1, n):
-            raise ValueError("refusing to peel the wrap-around cherry (1, %d)" % n)
-        if l2 != l1 + 1:
-            raise ValueError("cherry leaves (%d, %d) are not consecutive" % (l1, l2))
-        drop_edges = {self.leaf_edge(l1), self.leaf_edge(l2)}
-        drop_vertices = {self.leaf_vertices[l1 - 1], self.leaf_vertices[l2 - 1]}
-        edge_numbers = [k for k in range(1, self.edge_count + 1)
-                        if k not in drop_edges]
-        new_edges = [self.edges[k - 1] for k in edge_numbers]
-        new_leaf_vertices = []
-        leaf_map = {}
-        for old in range(1, n + 1):
-            if old in (l1, l2):
-                continue
-            new = old if old < l1 else old - 1
-            leaf_map[new] = old
-        for new in range(1, n):
-            if new == l1:
-                new_leaf_vertices.append(vertex)
-            else:
-                new_leaf_vertices.append(self.leaf_vertices[leaf_map[new] - 1])
-        leaf_map[l1] = None  # the collapsed cherry vertex
-        sub = Tree(n - 1, new_edges, new_leaf_vertices, kind="general")
-        if drop_vertices & set(new_leaf_vertices):
-            raise AssertionError("peeled leaf vertex kept as a leaf")
-        return sub, leaf_map, edge_numbers
+        label = {v: i for i, v in enumerate(self.leaf_vertices, start=1)}
+
+        def leaves_at(v):
+            return sorted(label[w] for w, _ in self._adj[v] if w in label)
+
+        inner = {v: leaves_at(v) for v in self._adj if v not in label}
+        steps = []
+        while len(label) > 3:
+            wrap = [min(label.values()), max(label.values())]
+            (l1, l2), vertex = min((ends, v) for v, ends in inner.items()
+                                   if len(ends) == 2 and ends != wrap)
+            if any(l1 < i < l2 for i in label.values()):
+                raise ValueError("cherry leaves (%d, %d) are not adjacent "
+                                 "among the remaining leaves" % (l1, l2))
+            for w, eidx in self._adj[vertex]:
+                if w in label:
+                    del label[w]
+                else:
+                    edge, parent = eidx, w
+            label[vertex] = l1
+            del inner[vertex]
+            inner[parent] = leaves_at(parent)
+            steps.append((l1, l2, edge))
+        return steps
 
     def __repr__(self):
-        return "Tree(n_leaves=%d, kind=%r)" % (self.n_leaves, self.kind)
+        return "Tree(n_leaves=%d)" % self.n_leaves
 
 
 def caterpillar(n):
@@ -230,7 +203,7 @@ def caterpillar(n):
     if n < 2:
         raise ValueError("need n >= 2")
     if n == 2:
-        return Tree(2, [(0, 1)], [0, 1], kind="caterpillar")
+        return Tree(2, [(0, 1)], [0, 1])
     # leaves are vertices 0..n-1, spine vertex v_k is n-1+k
     spine = lambda k: n - 1 + k
     edges = [(0, spine(1)), (1, spine(1))]
@@ -238,7 +211,7 @@ def caterpillar(n):
         edges.append((spine(k - 1), spine(k)))
         edges.append((k, spine(k)))
     edges.append((n - 1, spine(n - 2)))
-    return Tree(n, edges, list(range(n)), kind="caterpillar")
+    return Tree(n, edges, list(range(n)))
 
 
 def parse_tree(text):
@@ -310,13 +283,9 @@ def parse_tree(text):
     if n < 2:
         raise TreeParseError("a tree needs at least 2 leaves", 0)
     try:
-        return Tree(n, edges, leaf_vertices, kind="general")
+        return Tree(n, edges, leaf_vertices)
     except ValueError as exc:
         raise TreeParseError(str(exc), 0) from exc
-
-
-def _sorted_pairing(pair_a, pair_b):
-    return tuple(sorted((tuple(sorted(pair_a)), tuple(sorted(pair_b)))))
 
 
 def classify_intersection(tree, pair_a, pair_b):
@@ -342,7 +311,7 @@ def classify_intersection(tree, pair_a, pair_b):
         ((p1, p3), (p2, p4)),
         ((p1, p4), (p2, p3)),
     ]
-    ours = _sorted_pairing(a, b)
+    ours = tuple(sorted((a, b)))  # a and b are sorted pairs already
     others = [pg for pg in pairings if pg != ours]
     intersecting = [pg for pg in others
                     if tree.path(*pg[0]).support & tree.path(*pg[1]).support]

@@ -194,6 +194,11 @@ def test_decompose_non_member_diagnosis(capsys):
     data = json.loads(out)
     assert data["member"] is False
     assert data["reason"]
+    # the cherry is named in the tree's own leaf numbers
+    code, out, _ = run_cli(capsys, "decompose", "--tree", "((*,*),((*,*),*))",
+                           "--values", "0,0,1,1,1,1,0")
+    assert code == 0
+    assert out == "not in semigroup: cherry (3, 4): x3 + x4 - x_v = 1 is odd\n"
 
 
 def test_decompose_usage_errors(capsys):

@@ -328,6 +328,11 @@ def test_permute_variables_group_action():
         composed = tuple(sigma[tau[i] - 1] for i in range(nv))
         assert permute_variables(permute_variables(p, tau), sigma) == \
             permute_variables(p, composed)
+        # against exponent tuples, with a slot value past one byte
+        big = p + IntPolynomial.monomial(nv, [300] + [0] * (nv - 1), 7)
+        moved = {tuple(e[sigma.index(k + 1)] for k in range(nv)): c
+                 for e, c in big.terms.items()}
+        assert permute_variables(big, sigma) == IntPolynomial(nv, moved)
 
 
 def test_permute_variables_series():

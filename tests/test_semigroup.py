@@ -77,6 +77,19 @@ def test_decompose_error_diagnostics():
         decompose(t, [1, 1, 1])
 
 
+def test_non_int_inputs_are_refused():
+    t = caterpillar(3)
+    for call in (decompose, is_member, gradation):
+        with pytest.raises(TypeError, match="1.0 on edge 1"):
+            call(t, [1.0, 1, 0])
+    with pytest.raises(TypeError, match="multiplicity 1.5"):
+        PathMultiset.from_dict({(1, 2): 1.5})
+    with pytest.raises(TypeError, match="multiplicity 0.0"):
+        PathMultiset.from_dict({(1, 2): 0.0})
+    with pytest.raises(TypeError):
+        PathMultiset.from_json_dict({"pairs": [{"i": 1, "j": 2, "mult": 1.5}]})
+
+
 def test_decompose_self_check_survives_optimize():
     # python -O strips assert statements; the re-sum check must still run
     script = "\n".join([
@@ -139,15 +152,25 @@ def test_decompose_fixes_canonical_multisets():
 
 
 def test_decompose_on_random_parsed_trees():
+    # every perturbed vector is either refused or decomposed canonically
     rng = random.Random(303)
-    for _ in range(150):
-        n = rng.randint(2, 8)
+    refused = 0
+    for _ in range(300):
+        n = rng.randint(2, 14)
         t = random_tree(n, rng)
-        m = random_multiset(n, rng)
-        x = m.edge_vector(t)
-        result = decompose(t, x)
-        assert result.edge_vector(t) == x
+        x = list(random_multiset(n, rng).edge_vector(t))
+        perturbed = rng.random() < 0.4
+        if perturbed:
+            x[rng.randrange(len(x))] += rng.choice((-1, 1, 2))
+        try:
+            result = decompose(t, x)
+        except NotInSemigroupError:
+            assert perturbed
+            refused += 1
+            continue
+        assert result.edge_vector(t) == tuple(x)
         assert result.is_canonical(t)
+    assert refused > 30
 
 
 def test_is_canonical_flags_unordered_pairs():

@@ -264,29 +264,35 @@ def test_ideal_relation_kind_matches_intersection():
                                           - t.distance(i, j) - t.distance(k, l))
 
 
-def test_peel_cherry_rejects_wrap_pair():
-    t = caterpillar(5)
-    cherries = t.cherries()
-    wrap = [c for c in cherries if c[1] == 1 and c[2] == 5]
-    for vertex, l1, l2 in wrap:
-        with pytest.raises(ValueError):
-            t.peel_cherry(vertex, l1, l2)
+def test_peel_order_skips_wrap_pair():
+    rng = random.Random(207)
+    trees = [caterpillar(n) for n in range(2, 15)]
+    trees += [random_tree(rng.randint(2, 14), rng) for _ in range(60)]
+    for t in trees:
+        remaining = list(range(1, t.n_leaves + 1))
+        steps = t.peel_order()
+        assert len(steps) == max(t.n_leaves - 3, 0)
+        for l1, l2, edge in steps:
+            assert (l1, l2) != (remaining[0], remaining[-1])
+            assert remaining[remaining.index(l1) + 1] == l2
+            remaining.remove(l2)
 
 
-def test_peel_cherry_caterpillar():
-    t = caterpillar(5)
-    cherries = t.cherries()
-    target = [c for c in cherries if (c[1], c[2]) == (4, 5)]
-    assert len(target) == 1
-    vertex, l1, l2 = target[0]
-    sub, leaf_map, edge_numbers = t.peel_cherry(vertex, l1, l2)
-    assert sub.n_leaves == 4
-    assert sub.edge_count == 5
-    # collapsed vertex becomes the last leaf of the subtree; l1's slot
-    # marks it, l2 disappears
-    assert leaf_map == {1: 1, 2: 2, 3: 3, 4: None}
-    assert edge_numbers == [1, 2, 3, 4, 5]
-    assert sub.path(1, 3).indicator == caterpillar(4).path(1, 3).indicator
+def test_peel_order_in_tree_numbers():
+    # caterpillar(5): e3 joins v1 to v2, e5 joins v2 to v3
+    assert caterpillar(5).peel_order() == [(1, 2, 3), (1, 3, 5)]
+    assert caterpillar(3).peel_order() == []
+    # leaves 1, 2 hang off the root split, whose edge is the last (e7);
+    # 3, 4 form the deep cherry, joined to its parent by e5
+    t = parse_tree("((*,*),((*,*),*))")
+    assert t.peel_order() == [(1, 2, 7), (3, 4, 5)]
+
+
+def test_peel_order_rejects_non_planar_numbering():
+    # leaves 1 and 3 share vertex 4, leaves 2 and 4 share vertex 5
+    t = Tree(4, [(0, 4), (2, 4), (4, 5), (1, 5), (3, 5)], [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="not adjacent"):
+        t.peel_order()
 
 
 def test_random_trees_parse_and_validate():
