@@ -65,8 +65,9 @@ class PathMultiset:
         """Sum of mult * path indicator over the tree's edges."""
         total = [0] * tree.edge_count
         for (i, j), mult in self.counts:
-            for k, bit in enumerate(tree.path(i, j).indicator):
-                total[k] += mult * bit
+            mask = tree.path_mask(i, j)
+            for k in range(tree.edge_count):
+                total[k] += mult * (mask >> k & 1)
         return tuple(total)
 
     def grading_vector(self, n_leaves):

@@ -15,8 +15,11 @@ Chosen so that dropping the last two coordinates projects the edge values
 of the (n+1)-leaf caterpillar onto those of the n-leaf one, with the old
 last leaf becoming the new deepest spine vertex.
 
-The path between leaves i < j is recorded as a 0/1 indicator over the
-edge numbering.  Two paths intersect exactly when they share an edge.
+A path is an edge mask: an int with bit k-1 set when edge k is on it.
+The tree keeps the mask of each leaf's path from leaf 1, so the path
+between leaves i < j is the xor of two masks; its 0/1 indicator over the
+edge numbering is derived from that mask.  Two paths intersect exactly
+when they share an edge, that is when their masks have a common bit.
 For four distinct endpoints, of the three ways to pair them up exactly
 two give intersecting paths; each is the other's "dual", and of the two
 the lexicographically smaller (as an ordered tuple of sorted pairs) is
@@ -45,13 +48,6 @@ class PathVector:
     i: int
     j: int
     indicator: tuple
-
-    @property
-    def support(self):
-        return frozenset(k + 1 for k, v in enumerate(self.indicator) if v)
-
-    def __len__(self):
-        return sum(self.indicator)
 
 
 @dataclass(frozen=True)
@@ -85,9 +81,11 @@ class Tree:
     """3-valent tree with numbered leaves and numbered edges.
 
     Construct through caterpillar() or parse_tree(); the raw constructor
-    expects a consistent vertex/edge layout.  The path semigroup is
-    decomposed on the tree itself: peel_order() lists its cherries in the
-    tree's own leaf and edge numbers, which the diagnostics also use.
+    refuses a layout that is not a connected 3-valent tree.  One traversal
+    from leaf 1 stores each leaf's edge mask, and path_mask(i, j) is the
+    xor of two of them.  The path semigroup is decomposed on the tree
+    itself: peel_order() lists its cherries in the tree's own leaf and
+    edge numbers, which the diagnostics also use.
     """
 
     def __init__(self, n_leaves, edges, leaf_vertices):
@@ -99,7 +97,19 @@ class Tree:
             self._adj.setdefault(u, []).append((v, idx))
             self._adj.setdefault(v, []).append((u, idx))
         self._validate()
-        self._path_cache = {}
+        start = self.leaf_vertices[0]
+        mask = {start: 0}  # vertex -> edge mask of its path from leaf 1
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, eidx in self._adj[v]:
+                if w not in mask:
+                    mask[w] = mask[v] | 1 << (eidx - 1)
+                    stack.append(w)
+        if len(mask) != len(self._adj):
+            raise ValueError("the edges leave %d of %d vertices unreachable"
+                             % (len(self._adj) - len(mask), len(self._adj)))
+        self._leaf_masks = [mask[v] for v in self.leaf_vertices]
 
     def _validate(self):
         n = self.n_leaves
@@ -126,38 +136,22 @@ class Tree:
             raise ValueError("leaf %d out of range 1..%d" % (i, self.n_leaves))
         return self._adj[self.leaf_vertices[i - 1]][0][1]
 
-    def path(self, i, j):
-        """Indicator vector of the path from leaf i to leaf j; needs i < j."""
+    def path_mask(self, i, j):
+        """Edge mask of the path from leaf i to leaf j; needs i < j."""
         if not (1 <= i < j <= self.n_leaves):
             raise ValueError("need 1 <= i < j <= %d, got (%d, %d)"
                              % (self.n_leaves, i, j))
-        cached = self._path_cache.get((i, j))
-        if cached is not None:
-            return cached
-        start = self.leaf_vertices[i - 1]
-        goal = self.leaf_vertices[j - 1]
-        parent = {start: (None, None)}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v == goal:
-                break
-            for w, eidx in self._adj[v]:
-                if w not in parent:
-                    parent[w] = (v, eidx)
-                    stack.append(w)
-        indicator = [0] * self.edge_count
-        v = goal
-        while v != start:
-            v, eidx = parent[v]
-            indicator[eidx - 1] = 1
-        result = PathVector(i, j, tuple(indicator))
-        self._path_cache[(i, j)] = result
-        return result
+        return self._leaf_masks[i - 1] ^ self._leaf_masks[j - 1]
+
+    def path(self, i, j):
+        """Indicator vector of the path from leaf i to leaf j; needs i < j."""
+        mask = self.path_mask(i, j)
+        return PathVector(i, j, tuple(mask >> k & 1
+                                      for k in range(self.edge_count)))
 
     def distance(self, i, j):
         """Number of edges on the path between leaves i < j."""
-        return len(self.path(i, j))
+        return self.path_mask(i, j).bit_count()
 
     def peel_order(self):
         """The cherry steps (l1, l2, edge) that reduce the tree to three
@@ -303,7 +297,7 @@ def classify_intersection(tree, pair_a, pair_b):
     b = tuple(pair_b)
     if set(a) & set(b):
         return IntersectionResult("ordered", None)
-    if not (tree.path(*a).support & tree.path(*b).support):
+    if not tree.path_mask(*a) & tree.path_mask(*b):
         return IntersectionResult("disjoint", None)
     p1, p2, p3, p4 = sorted(set(a) | set(b))
     pairings = [
@@ -314,7 +308,7 @@ def classify_intersection(tree, pair_a, pair_b):
     ours = tuple(sorted((a, b)))  # a and b are sorted pairs already
     others = [pg for pg in pairings if pg != ours]
     intersecting = [pg for pg in others
-                    if tree.path(*pg[0]).support & tree.path(*pg[1]).support]
+                    if tree.path_mask(*pg[0]) & tree.path_mask(*pg[1])]
     if len(intersecting) != 1:
         raise AssertionError(
             "leaf numbering inconsistent with a planar embedding at %r / %r"
@@ -329,23 +323,21 @@ def ideal_relations(tree):
 
     Kind W1 when the (i,j) and (k,l) paths intersect, W2 when the (i,l)
     and (j,k) paths do; exactly one case occurs.  The t_exponent is the
-    difference of path-length sums that the degeneration scales by, and is
-    always positive.
+    difference of path-length sums that the degeneration scales by.  By
+    the four-point condition for tree metrics it is t = 2*|shared path|,
+    the shared path being the intersection of the two meeting paths, so it
+    is always positive.
     """
     out = []
-    d = tree.distance
+    m = tree.path_mask
     for i, j, k, l in combinations(range(1, tree.n_leaves + 1), 4):
-        if tree.path(i, j).support & tree.path(k, l).support:
-            kind = "W1"
-            t_exp = d(i, k) + d(j, l) - d(i, l) - d(j, k)
-        elif tree.path(i, l).support & tree.path(j, k).support:
+        shared = m(i, j) & m(k, l)
+        kind = "W1"
+        if not shared:
+            shared = m(i, l) & m(j, k)
             kind = "W2"
-            t_exp = d(i, l) + d(j, k) - d(i, j) - d(k, l)
-        else:
+        if not shared:
             raise AssertionError("no intersecting outer pairing for quadruple "
                                  "(%d,%d,%d,%d)" % (i, j, k, l))
-        if t_exp <= 0:
-            raise AssertionError("non-positive t exponent for quadruple "
-                                 "(%d,%d,%d,%d)" % (i, j, k, l))
-        out.append(IdealRelation(i, j, k, l, kind, t_exp))
+        out.append(IdealRelation(i, j, k, l, kind, 2 * shared.bit_count()))
     return out

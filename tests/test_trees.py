@@ -53,7 +53,9 @@ def test_path_support_and_distance():
     for i, j in combinations(range(1, 6), 2):
         vec = t.path(i, j)
         assert sum(vec.indicator) == t.distance(i, j)
-        assert vec.support == {k + 1 for k, v in enumerate(vec.indicator) if v}
+        mask = t.path_mask(i, j)
+        assert [mask >> k & 1 for k in range(t.edge_count)] == list(vec.indicator)
+        assert mask >> t.edge_count == 0
     assert t.distance(1, 2) == 2
     assert t.distance(1, 5) == 4
     assert t.distance(2, 4) == 4
@@ -135,6 +137,10 @@ def test_parse_tree_errors_with_position():
 def test_tree_validation():
     with pytest.raises(ValueError):
         Tree(4, edges=((1, 2), (2, 3)), leaf_vertices=(1, 2, 3, 4))
+    # right vertex, edge and degree counts, but c-d is cut off from the rest
+    with pytest.raises(ValueError, match="unreachable"):
+        Tree(4, [("u", "v"), ("u", "v"), ("u", "a"), ("v", "b"), ("c", "d")],
+             ["a", "b", "c", "d"])
 
 
 def test_classify_frozen_examples():
@@ -230,6 +236,14 @@ def test_ideal_relations_frozen():
     assert str(rel) == "(1,2,3,4) W2 t_exponent=2"
     assert rel.to_json_dict() == {"i": 1, "j": 2, "k": 3, "l": 4,
                                   "kind": "W2", "t_exponent": 2}
+    rels = ideal_relations(parse_tree("((*,*),((*,*),*))"))
+    assert [str(rel) for rel in rels] == [
+        "(1,2,3,4) W2 t_exponent=4",
+        "(1,2,3,5) W2 t_exponent=2",
+        "(1,2,4,5) W2 t_exponent=2",
+        "(1,3,4,5) W1 t_exponent=2",
+        "(2,3,4,5) W1 t_exponent=2",
+    ]
 
 
 def test_ideal_relations_count_and_positivity():
@@ -248,8 +262,8 @@ def test_ideal_relations_count_and_positivity():
 
 def test_ideal_relation_kind_matches_intersection():
     rng = random.Random(205)
-    for _ in range(10):
-        t = random_tree(rng.randint(4, 8), rng)
+    for _ in range(12):
+        t = random_tree(rng.randint(4, 12), rng)
         for rel in ideal_relations(t):
             i, j, k, l = rel.i, rel.j, rel.k, rel.l
             first = classify_intersection(t, (i, j), (k, l)).kind
@@ -295,11 +309,35 @@ def test_peel_order_rejects_non_planar_numbering():
         t.peel_order()
 
 
+def _bfs_indicator(tree, i, j):
+    """Path indicator from leaf i to leaf j by breadth-first search."""
+    start, goal = tree.leaf_vertices[i - 1], tree.leaf_vertices[j - 1]
+    came_by = {start: None}
+    queue = [start]
+    for v in queue:
+        for k, (a, b) in enumerate(tree.edges):
+            if v in (a, b):
+                w = b if v == a else a
+                if w not in came_by:
+                    came_by[w] = (v, k)
+                    queue.append(w)
+    indicator = [0] * len(tree.edges)
+    v = goal
+    while v != start:
+        v, k = came_by[v]
+        indicator[k] = 1
+    return tuple(indicator)
+
+
 def test_random_trees_parse_and_validate():
     rng = random.Random(206)
     for _ in range(50):
-        n = rng.randint(2, 10)
+        n = rng.randint(2, 16)
         text = random_tree_text(n, rng)
         t = parse_tree(text)
         assert t.n_leaves == n
         assert t.edge_count == 2 * n - 3
+        for i, j in combinations(range(1, n + 1), 2):
+            indicator = _bfs_indicator(t, i, j)
+            assert t.path(i, j).indicator == indicator
+            assert t.distance(i, j) == sum(indicator)
