@@ -89,30 +89,54 @@ class CrossReport:
 
 def series_by_recursion(n, max_total_degree):
     """W_n exact through the given total-degree cap, built variable by
-    variable from W_2."""
+    variable from W_2 = 1/(1 - z1 z2): W_{m+1} is W_m with each z_m^i
+    replaced by sum_{l=0}^{i} z_m^{i-l} z_{m+1}^l, over (1 - z_m z_{m+1}).
+
+    With c_i the coefficient of r z_m^i in W_m, r free of z_m, the
+    coefficient of r z_m^a z_{m+1}^b in W_{m+1} is c_{|a-b|} + c_{|a-b|+2}
+    + ... + c_{a+b}: c_i z_m^{i-l} z_{m+1}^l (z_m z_{m+1})^q lands there
+    only for q = (a+b-i)/2, l = (i+b-a)/2, and q >= 0, 0 <= l <= i hold
+    exactly for those i.  So each i gives one (l, q), and a coefficient
+    is one difference of parity prefix sums: no cell is swept."""
     if n < 2:
         raise ValueError("need n >= 2")
     cap = max_total_degree
-    polyring._check_sweep(n, cap)  # the last sweep is the largest
-    series = geometric_expand([(1, 2)], 2, cap)
-    for num_vars in range(3, n + 1):
-        split = IntPolynomial._trusted(
-            num_vars, _split_last_variable(series._terms), cap)
-        series = multiply_by_geometric_series(split, (num_vars - 1, num_vars))
-    return series
+    polyring._check_sweep(n, cap)  # C(cap + n, n) bounds the output
+    terms = geometric_expand([(1, 2)], 2, cap)._terms
+    for num_vars in range(2, n):
+        terms = _next_series(terms, num_vars, cap)
+    return IntPolynomial._trusted(n, terms, cap)
 
 
-def _split_last_variable(terms):
-    """Replace z_m^i by sum_{l=0}^{i} z_m^{i-l} z_{m+1}^l, adding one
-    variable.  Total degree is unchanged.  On packed keys: shift every slot
-    up one, then move l units from the slot of z_m to the new lowest slot.
-    No two terms land on one key (z_m, z_{m+1} give back i and l)."""
-    step = (1 << polyring._WIDTH) - 1
-    out = {}
+def _next_series(terms, m, cap):
+    """The packed terms of W_{m+1} from those of W_m, m variables.  The
+    slot of z_m is the lowest: a key is r plus i times the key of z_m."""
+    low = (1 << polyring._WIDTH) - 1
+    z_m = polyring._monomial_key(m, m)
+    rows = {}  # r -> [0, 0, c_0, c_1, ...], then prefix sums in place
     for k, c in terms.items():
-        base = k << polyring._WIDTH
-        for key in range(base, base - (k & step) * step - 1, -step):
-            out[key] = c
+        rest = k - (k & low) * z_m
+        row = rows.get(rest) or rows.setdefault(
+            rest, [0] * (cap - (rest >> polyring._WIDTH * m) + 3))
+        row[(k & low) + 2] = c
+    out = {}
+    for rest, row in rows.items():
+        if len(row) == 3:  # r of degree cap: c_0 passes on as is
+            out[rest << polyring._WIDTH] = row[2]
+            continue
+        for j in range(4, len(row)):
+            row[j] += row[j - 2]
+        live = 0  # bit p set once some c_i with i = p mod 2 is nonzero
+        for s in range(len(row) - 2):  # s = a + b
+            top = row[s + 2]
+            live |= bool(top) << (s & 1)
+            if live >> (s & 1) & 1:
+                key = rest + s * z_m << polyring._WIDTH  # r z_m^s, shifted
+                for b, c in enumerate(row[s::-2]):  # |a - b| = s - 2b
+                    c = top - c
+                    if c:
+                        out[key - b * low] = c
+                        out[key - (s - b) * low] = c
     return out
 
 

@@ -17,8 +17,8 @@ Exponent tuples exist only where terms enter or leave the store.
 Canonical term order (printing and serialization): ascending total
 degree, then descending lexicographic exponent tuple, which is
 descending key.  So ``h_2`` in two variables prints as
-``z1^2 + z1*z2 + z2^2``.  A sweep visits all C(cap + n, n) exponents of
-degree <= cap and raises CapacityError up front past SWEEP_LIMIT.
+``z1^2 + z1*z2 + z2^2``.  A sweep through a cap with more than
+SWEEP_LIMIT cells, C(cap + n, n), raises CapacityError up front.
 to_json_text writes the JSON of to_json_dict with indent 2 directly,
 byte for byte, from one template per term.
 """
@@ -48,7 +48,7 @@ class CapacityError(RuntimeError):
 #: Bits of one key slot: one big-endian unsigned short ("H").
 _WIDTH = 16
 
-#: Most cells a single sweep may visit.
+#: Most cells (exponents of degree <= cap) a sweep or a series may span.
 SWEEP_LIMIT = 2_000_000
 
 
@@ -408,10 +408,10 @@ def _geometric_sweep(terms, num_vars, pairs, cap):
     """Multiply packed `terms` of total degree <= cap by the expansion of
     prod 1/(1 - z_i z_j) over `pairs` through degree `cap`.
 
-    Per pair, out[e] = in[e] + out[e - delta] in place, walking the cells
-    in ascending total degree so out[e - delta] is already final.  When e
-    lacks z_i or z_j, e - delta borrows and leaves a slot above any total
-    degree, so it is no key and the lookup misses."""
+    Per pair, in place, each nonzero out[e] of total degree <= cap - 2 is
+    pushed forward onto out[e + delta], in ascending total degree, so all
+    that reaches out[e] has arrived.  e + delta is always a key (nothing
+    borrows), and a sum that cancels is deleted."""
     deltas = [_monomial_key(num_vars, *_validate_pair(p, num_vars))
               for p in pairs]
     _check_sweep(num_vars, cap)
@@ -419,14 +419,15 @@ def _geometric_sweep(terms, num_vars, pairs, cap):
         return dict(terms)
     pack, from_bytes = _layout(num_vars).pack, int.from_bytes  # _pack inlined
     cells = [from_bytes(pack(sum(e), *e), "big")
-             for e in iter_exponents(num_vars, cap)]
+             for e in iter_exponents(num_vars, cap - 2)]
     out = dict(terms)
     get = out.get
     for delta in deltas:
         for key in cells:
-            prev = get(key - delta)
-            if prev:
-                c = get(key, 0) + prev
+            c = get(key)
+            if c:
+                key += delta
+                c += get(key, 0)
                 if c:
                     out[key] = c
                 else:

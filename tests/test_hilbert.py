@@ -11,6 +11,7 @@ from grasshilb.hilbert import (
     EXC_LIMIT,
     SYM_LIMIT,
     CapacityError,
+    _next_series,
     _pool_size,
     cross_validate,
     embracing_configurations,
@@ -23,9 +24,11 @@ from grasshilb.hilbert import (
 from grasshilb.polyring import (
     IntPolynomial,
     PrecisionError,
+    TruncatedSeries,
     all_pairs,
     format_terms,
     geometric_expand,
+    multiply_by_geometric_series,
     permute_variables,
     truncate,
 )
@@ -53,6 +56,45 @@ def test_series_known_coefficients():
     assert s.coefficient((1, 0, 0, 0)) == 0
     assert s.coefficient((1, 1, 0, 0)) == 1
     assert s.coefficient((2, 1, 1, 0)) == 1
+
+
+def _split_then_divide(series, m):
+    """W_{m+1} from W_m by definition, on exponent tuples: z_m^i becomes
+    sum_l z_m^(i-l) z_{m+1}^l, then the pair sweep divides by
+    1 - z_m z_{m+1}."""
+    split = {}
+    for e, c in series.terms.items():
+        for l in range(e[-1] + 1):
+            key = e[:-1] + (e[-1] - l, l)
+            split[key] = split.get(key, 0) + c
+    cap = series.max_total_degree
+    return multiply_by_geometric_series(
+        TruncatedSeries(m + 1, cap, split), (m, m + 1))
+
+
+def test_next_series_matches_its_definition():
+    rng = random.Random(31)
+    for m in range(2, 7):
+        for cap in range(11):
+            for _ in range(3):
+                terms = {}
+                for _ in range(rng.randint(0, 12)):
+                    rest = [0] * (m - 1)
+                    for _ in range(rng.randint(0, cap)):
+                        rest[rng.randrange(m - 1)] += 1
+                    i = rng.randint(0, cap - sum(rest))
+                    terms[(*rest, i)] = rng.choice([-3, -2, -1, 1, 2, 3])
+                series = TruncatedSeries(m, cap, terms)
+                got = _next_series(series._terms, m, cap)
+                assert got == _split_then_divide(series, m)._terms, (m, cap)
+                assert all(got.values())
+    # c_0 = 1, c_2 = -1 at r = z1: the coefficient at z1 z2 z3 is
+    # c_0 + c_2 = 0 and is not stored, while z1 z3^2 keeps c_2 = -1
+    series = TruncatedSeries(2, 4, {(1, 0): 1, (1, 2): -1})
+    got = IntPolynomial._trusted(3, _next_series(series._terms, 2, 4), 4)
+    assert got == _split_then_divide(series, 2)
+    assert (1, 1, 1) not in got.terms
+    assert got.coefficient((1, 0, 2)) == -1
 
 
 def test_embracing_configurations():
@@ -156,10 +198,11 @@ def test_numerator_is_gorenstein_symmetric(build, n):
 
 
 def test_series_from_numerator_matches_recursion():
-    for n in (3, 4, 5):
-        direct = series_by_recursion(n, 8)
-        via_ie = series_from_numerator(numerator_inclusion_exclusion(n), 8)
-        assert direct == via_ie
+    for n in range(2, 7):
+        numerator = numerator_inclusion_exclusion(n)
+        for cap in (0, 1, 2, 7, 10):
+            direct = series_by_recursion(n, cap)
+            assert direct == series_from_numerator(numerator, cap), (n, cap)
     via_sym = series_from_numerator(numerator_symmetric_recursion(4), 8)
     assert via_sym == series_by_recursion(4, 8)
 
@@ -226,6 +269,25 @@ def test_cross_validate_deterministic_across_jobs():
     serial = cross_validate(4, 8, jobs=1)
     parallel = cross_validate(4, 8, jobs=3)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_reference_does_not_share_the_pair_sweep(monkeypatch):
+    import grasshilb.hilbert as hilbert_module
+
+    real = hilbert_module.multiply_by_geometric_series
+
+    def corrupted(series, *pairs):  # adds 1 at z1 z2
+        bump = (1, 1) + (0,) * (series.num_vars - 2)
+        return real(series, *pairs) + TruncatedSeries(
+            series.num_vars, series.max_total_degree, {bump: 1})
+
+    monkeypatch.setattr(hilbert_module, "multiply_by_geometric_series",
+                        corrupted)
+    status = {c.name: c.status for c in cross_validate(4, 6).checks}
+    assert status == {"recursion-vs-inclusion-exclusion": "fail",
+                      "recursion-vs-symmetric-recursion-conjectural": "fail",
+                      "oracle-dimensions": "pass",
+                      "permutation-invariance": "pass"}
 
 
 def test_pool_size_never_exceeds_cpu_count():

@@ -302,6 +302,27 @@ def test_multiply_by_geometric_series():
     assert multiply_by_geometric_series(base) == base
 
 
+def test_geometric_sweep_edges():
+    rng = random.Random(107)
+    for cap in (0, 1):  # no pair z_i z_j fits under the cap
+        for nv in range(2, 6):
+            base = TruncatedSeries(nv, cap, {
+                e: rng.choice([-2, -1, 1, 2]) for e in iter_exponents(nv, cap)})
+            assert multiply_by_geometric_series(base, *all_pairs(nv)) == base
+    # (1 - z1 z2)(1 - z1 z3) over the same factors: every pushed sum
+    # cancels, and a cancelled coefficient is deleted, not stored as 0
+    numerator = TruncatedSeries(3, 6, {(0, 0, 0): 1, (1, 1, 0): -1,
+                                       (1, 0, 1): -1, (2, 1, 1): 1})
+    one = multiply_by_geometric_series(numerator, (1, 2), (1, 3))
+    assert one._terms == {0: 1}  # the constant 1 alone
+    for nv in range(2, 6):
+        zero = (0,) * nv
+        for i, j in all_pairs(nv):
+            pair = tuple(int(k in (i, j)) for k in range(1, nv + 1))
+            assert geometric_expand([(i, j)], nv, 2) == TruncatedSeries(
+                nv, 2, {zero: 1, pair: 1})
+
+
 def test_multiply_by_geometric_series_needs_a_cap():
     exact = IntPolynomial(3, {(1, 0, 0): 1})
     for pairs in ([(1, 2)], []):
