@@ -20,7 +20,6 @@ from .fixtures import GOLDEN_RANGE, golden_numerator
 from .hilbert import (
     CapacityError,
     CrossReport,
-    NumeratorResult,
     cross_validate,
     embracing_configurations,
     excluded_configurations,
@@ -71,7 +70,6 @@ __all__ = [
     "IdealRelation",
     "IntPolynomial",
     "NotInSemigroupError",
-    "NumeratorResult",
     "PathMultiset",
     "PathVector",
     "PrecisionError",

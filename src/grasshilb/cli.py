@@ -75,13 +75,13 @@ def cmd_series(args):
 def cmd_numerator(args):
     if args.method == "ie":
         tree = _load_tree(args.tree) if args.tree else None
-        result = hilbert.numerator_inclusion_exclusion(args.n, tree=tree)
+        numerator = hilbert.numerator_inclusion_exclusion(args.n, tree=tree)
     else:
         if args.tree:
             raise ValueError("--tree only applies to --method ie")
-        result = hilbert.numerator_symmetric_recursion(args.n)
-    _emit(args, lambda: [format_terms(result.polynomial)],
-          lambda: polyring.to_json_text(result.polynomial))
+        numerator = hilbert.numerator_symmetric_recursion(args.n)
+    _emit(args, lambda: [format_terms(numerator)],
+          lambda: polyring.to_json_text(numerator))
     return 0
 
 

@@ -48,17 +48,6 @@ _PERMUTATION_SEED = 271828
 
 
 @dataclass(frozen=True)
-class NumeratorResult:
-    n: int
-    polynomial: IntPolynomial
-    method: str    # "inclusion-exclusion" | "symmetric-recursion"
-
-    @property
-    def is_conjectural(self):
-        return self.method == "symmetric-recursion"
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     status: str   # "pass" | "fail" | "skip"
@@ -202,16 +191,14 @@ def numerator_inclusion_exclusion(n, tree=None):
             if not before or not mult[k]:
                 key += step * k
         acc[key] = acc.get(key, 0) + sign
-    return NumeratorResult(n, IntPolynomial._trusted(n, polyring._nonzero(acc)),
-                           "inclusion-exclusion")
+    return IntPolynomial._trusted(n, polyring._nonzero(acc))
 
 
 def series_from_numerator(numerator, max_total_degree):
     """Expand numerator / prod_{i<j} (1 - z_i z_j) through the cap,
     dividing by one pair factor at a time.  A numerator that is itself a
     series must be exact through the cap (PrecisionError otherwise)."""
-    poly = getattr(numerator, "polynomial", numerator)
-    series = polyring.truncate(poly, max_total_degree)
+    series = polyring.truncate(numerator, max_total_degree)
     return multiply_by_geometric_series(series, *all_pairs(series.num_vars))
 
 
@@ -259,8 +246,7 @@ def numerator_symmetric_recursion(n):
     z_n = polyring._monomial_key(n, n)
     poly = {k + t * z_n: c for t, terms in enumerate(coeffs)
             for k, c in terms.items()}
-    return NumeratorResult(n, IntPolynomial._trusted(n, poly),
-                           "symmetric-recursion")
+    return IntPolynomial._trusted(n, poly)
 
 
 def _symmetric_step(coeffs, stage, n):
@@ -320,11 +306,6 @@ def _symmetric_step(coeffs, stage, n):
 
 # ---------------------------------------------------------------------------
 # cross-validation
-
-
-def _oracle_count(args):
-    n, lam = args
-    return semigroup.count_gradation(n, lam)
 
 
 def cross_validate(n, max_total_degree, jobs=1):
@@ -397,7 +378,7 @@ def _oracle_check(reference, jobs):
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 counts = list(pool.map(
-                    _oracle_count, [(n, lam) for lam in lams],
+                    semigroup.count_gradation, [n] * len(lams), lams,
                     chunksize=max(1, len(lams) // (workers * 8))))
         except (OSError, PermissionError):
             counts = None

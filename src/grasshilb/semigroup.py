@@ -237,7 +237,10 @@ def _walk_multisets(n, lam, conflicts, found=None):
             if found is not None:
                 found(chosen)
             return 1
-        while t < npairs and pairs[t][0] < f:
+        # a pair (f, j) with nothing left at j takes no multiplicity: skip
+        # it here, not by one recursive call each, which n ~ 1000 overflows
+        while t < npairs and (pairs[t][0] < f or pairs[t][0] == f
+                              and not residual[pairs[t][1] - 1]):
             t += 1
         if t == npairs or pairs[t][0] > f:
             return 0

@@ -215,69 +215,49 @@ def parse_tree(text):
     root edge or an internal vertex with two children.  Leaves are
     numbered 1..n in order of appearance; edges are numbered in
     construction order (children before the edge to their parent).
+    Spaces are skipped.  One pass over the text with an explicit stack of
+    open parentheses, so a spec of any nesting depth parses.
     """
-    pos = 0
-    n_text = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n_text and text[pos] == " ":
-            pos += 1
-
-    def expect(ch):
-        nonlocal pos
-        skip_ws()
-        if pos >= n_text or text[pos] != ch:
-            raise TreeParseError("expected %r" % ch, pos)
-        pos += 1
-
-    next_vertex = [0]
-    leaf_vertices = []
-    edges = []
-
-    def new_vertex():
-        v = next_vertex[0]
-        next_vertex[0] += 1
-        return v
-
-    def parse_node():
-        # returns the vertex id of the subtree root
-        nonlocal pos
-        skip_ws()
-        if pos >= n_text:
-            raise TreeParseError("unexpected end of input", pos)
-        if text[pos] == "*":
-            pos += 1
-            v = new_vertex()
-            leaf_vertices.append(v)
-            return v
-        if text[pos] == "(":
-            pos += 1
-            v = new_vertex()
-            left = parse_node()
-            edges.append((v, left))
-            expect(",")
-            right = parse_node()
-            edges.append((v, right))
-            expect(")")
-            return v
-        raise TreeParseError("expected '*' or '('", pos)
-
-    skip_ws()
-    expect("(")
-    left = parse_node()
-    expect(",")
-    right = parse_node()
-    expect(")")
-    skip_ws()
-    if pos != n_text:
-        raise TreeParseError("trailing input", pos)
-    edges.append((left, right))
-    n = len(leaf_vertices)
-    if n < 2:
-        raise TreeParseError("a tree needs at least 2 leaves", 0)
+    stack = []  # open parentheses: [vertex, or None at the top; children]
+    leaf_vertices, edges = [], []
+    vertices = 0
+    want = "("  # the next token: "(", "node", ",", ")" or "" for the end
+    tokens = [(pos, ch) for pos, ch in enumerate(text) if ch != " "]
+    for pos, ch in tokens + [(len(text), "")]:
+        child = None
+        if want == "node":
+            if ch == "*":
+                child = vertices
+                leaf_vertices.append(child)
+            elif ch == "(":
+                stack.append([vertices, []])
+            else:
+                raise TreeParseError("expected '*' or '('" if ch
+                                     else "unexpected end of input", pos)
+            vertices += 1
+        elif ch != want:
+            raise TreeParseError("expected %r" % want if want
+                                 else "trailing input", pos)
+        elif ch == "(":
+            stack.append([None, []])
+            want = "node"
+        elif ch == ",":
+            want = "node"
+        elif ch == ")":
+            vertex, children = stack.pop()
+            if vertex is None:
+                edges.append(tuple(children))
+                want = ""
+            else:
+                child = vertex
+        if child is not None:
+            vertex, children = stack[-1]
+            children.append(child)
+            if vertex is not None:
+                edges.append((vertex, child))
+            want = "," if len(children) == 1 else ")"
     try:
-        return Tree(n, edges, leaf_vertices)
+        return Tree(len(leaf_vertices), edges, leaf_vertices)
     except ValueError as exc:
         raise TreeParseError(str(exc), 0) from exc
 

@@ -156,9 +156,9 @@ def test_series_json_round_trips(capsys):
      lambda: hilbert.series_from_numerator(
          hilbert.numerator_inclusion_exclusion(4), 7)),
     (["numerator", "--n", "5", "--method", "ie"],
-     lambda: hilbert.numerator_inclusion_exclusion(5).polynomial),
+     lambda: hilbert.numerator_inclusion_exclusion(5)),
     (["numerator", "--n", "5", "--method", "sym"],
-     lambda: hilbert.numerator_symmetric_recursion(5).polynomial),
+     lambda: hilbert.numerator_symmetric_recursion(5)),
 ], ids=["series-recursion", "series-numerator", "numerator-ie",
         "numerator-sym"])
 def test_polynomial_json_is_json_dumps_text(capsys, argv, build):
@@ -210,6 +210,16 @@ def test_decompose_usage_errors(capsys):
                            "--values", "1")
     assert code == 2
     assert "position 3" in err
+
+
+def test_deep_inputs_are_answered(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--tree",
+                           "(*," * 1498 + "(*,*)" + ")" * 1498,
+                           "--values", ",".join(["0"] * 2997))
+    assert (code, out) == (0, "{}\n")
+    code, out, _ = run_cli(capsys, "dim", "--n", "1100", "--grading",
+                           ",".join(["1"] + ["0"] * 1098 + ["1"]))
+    assert (code, out) == (0, "1\n")
 
 
 def test_relations_text(capsys):

@@ -132,6 +132,25 @@ def test_parse_tree_errors_with_position():
         parse_tree("")
     with pytest.raises(TreeParseError):
         parse_tree("(*,*,*)")
+    for text, message, position in [
+            ("", "expected '('", 0),
+            ("(*,*) x", "trailing input", 6),
+            ("(*;*)", "expected ','", 2),
+            ("((*),*)", "expected ','", 3),
+            ("(*, )", "expected '*' or '('", 4),
+            ("(*,(*,*)", "expected ')'", 8)]:
+        with pytest.raises(TreeParseError) as info:
+            parse_tree(text)
+        assert str(info.value) == "%s at position %d" % (message, position)
+        assert info.value.position == position
+
+
+def test_parse_tree_of_any_depth():
+    # 1,499 nested parentheses: one parenthesis per level of a recursion
+    # would pass Python's default recursion limit
+    tree = parse_tree("(*," * 1498 + "(*,*)" + ")" * 1498)
+    assert tree.n_leaves == 1500
+    assert tree.edge_count == 2997
 
 
 def test_tree_validation():
