@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from math import comb
 
 from . import polyring, semigroup, trees
 from .polyring import (CapacityError, IntPolynomial, all_pairs,
@@ -134,24 +135,22 @@ def _next_series(terms, m, cap):
 
 
 def embracing_configurations(n):
-    """All ((i,j),(i',j')) with i < i' < j' < j, one per 4-subset of 1..n.
-
-    These are exactly the unordered-intersecting pair configurations of
-    the caterpillar tree.
-    """
+    """All ((i,j),(i',j')) with i < i' < j' < j, one per 4-subset of 1..n:
+    the unordered-intersecting pair configurations of the caterpillar."""
     return [((a, d), (b, c))
             for a, b, c, d in combinations(range(1, n + 1), 4)]
 
 
 def excluded_configurations(tree):
     """All unordered-intersecting 2-tuples of leaf pairs of a tree, each
-    as (smaller pair, larger pair)."""
-    pairs = all_pairs(tree.n_leaves)
+    as (smaller pair, larger pair), in order: one per 4-subset p<q<r<s,
+    the larger meeting pairing, so (p,r),(q,s) or (p,s),(q,r)."""
     out = []
-    for a, b in combinations(pairs, 2):
-        if trees.classify_intersection(tree, a, b).kind == "unordered":
-            out.append((a, b))
-    return out
+    for p, q, r, s in combinations(range(1, tree.n_leaves + 1), 4):
+        for cfg in (((p, r), (q, s)), ((p, s), (q, r))):
+            if trees.classify_intersection(tree, *cfg).kind == "unordered":
+                out.append(cfg)
+    return sorted(out)
 
 
 def numerator_inclusion_exclusion(n, tree=None):
@@ -164,17 +163,15 @@ def numerator_inclusion_exclusion(n, tree=None):
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if tree is not None:
-        if tree.n_leaves != n:
-            raise polyring.DimensionError(
-                "tree has %d leaves, expected %d" % (tree.n_leaves, n))
-        exc = excluded_configurations(tree)
-    else:
-        exc = embracing_configurations(n)
-    if len(exc) > EXC_LIMIT:
+    if tree is not None and tree.n_leaves != n:
+        raise polyring.DimensionError(
+            "tree has %d leaves, expected %d" % (tree.n_leaves, n))
+    if comb(n, 4) > EXC_LIMIT:  # one configuration per 4-subset of leaves
         raise CapacityError(
             "%d excluded configurations exceed the limit %d; "
-            "use the recursion method" % (len(exc), EXC_LIMIT))
+            "use the recursion method" % (comb(n, 4), EXC_LIMIT))
+    exc = (embracing_configurations(n) if tree is None
+           else excluded_configurations(tree))
     # masks in Gray-code order: step `mask` toggles configuration `bit`,
     # and pair multiplicities tell when a pair enters or leaves the union
     config_keys = [[polyring._monomial_key(n, *p) for p in cfg] for cfg in exc]

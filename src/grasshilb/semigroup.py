@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from .trees import Tree, classify_intersection
 
@@ -66,8 +67,9 @@ class PathMultiset:
         total = [0] * tree.edge_count
         for (i, j), mult in self.counts:
             mask = tree.path_mask(i, j)
-            for k in range(tree.edge_count):
-                total[k] += mult * (mask >> k & 1)
+            while mask:  # add mult at each set bit, lowest first
+                total[(mask & -mask).bit_length() - 1] += mult
+                mask &= mask - 1
         return tuple(total)
 
     def grading_vector(self, n_leaves):
@@ -81,11 +83,8 @@ class PathMultiset:
     def is_canonical(self, tree):
         """True when no two chosen pairs intersect in an unordered way."""
         pairs = [p for p, _ in self.counts]
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                if classify_intersection(tree, pairs[a], pairs[b]).kind == "unordered":
-                    return False
-        return True
+        return not any(classify_intersection(tree, a, b).kind == "unordered"
+                       for a, b in combinations(pairs, 2))
 
     def to_json_dict(self):
         return {"pairs": [{"i": i, "j": j, "mult": m}
@@ -176,21 +175,22 @@ def _decompose(tree, values):
         counts[(a, b)] = twice // 2
 
     # lift, last peel first: the paths ending at the cherry vertex (now
-    # labelled l1) reattach to l1 or l2, smallest far endpoints to l1
+    # l1), one run (far endpoint, multiplicity) per pair, reattach to l1 or
+    # l2 (in no pair yet), the first y1 of them in endpoint order to l1
     for l1, l2, a, y1, y2 in reversed(lifts):
-        through = []
-        for pair in [pair for pair in counts if l1 in pair]:
-            other = pair[0] if pair[1] == l1 else pair[1]
-            through.extend([other] * counts.pop(pair))
-        through.sort()
-        if len(through) != y1 + y2:
+        through = sorted((sum(pair) - l1, counts.pop(pair))
+                         for pair in [pair for pair in counts if l1 in pair])
+        lifted = sum(m for _, m in through)
+        if lifted != y1 + y2:
             raise AssertionError(
                 "cherry (%d, %d): %d through-paths lifted, expected %d"
-                % (l1, l2, len(through), y1 + y2))
-        for pos, other in enumerate(through):
-            target = l1 if pos < y1 else l2
-            pair = (other, target) if other < target else (target, other)
-            counts[pair] = counts.get(pair, 0) + 1
+                % (l1, l2, lifted, y1 + y2))
+        for other, m in through:
+            first = min(m, y1)
+            y1 -= first
+            for target, k in ((l1, first), (l2, m - first)):
+                if k:
+                    counts[min(other, target), max(other, target)] = k
         if a:
             counts[(l1, l2)] = a
     return counts

@@ -31,6 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+
+from .polyring import CapacityError
+
+#: Most relations ideal_relations() will list (n <= 40): one object each,
+#: and C(60, 4) = 487,635 of them took 8.2 s and 858 MiB RSS as JSON.
+RELATIONS_LIMIT = 100_000
 
 
 class TreeParseError(ValueError):
@@ -157,35 +164,31 @@ class Tree:
         """The cherry steps (l1, l2, edge) that reduce the tree to three
         leaves, in the tree's own leaf and edge numbers.
 
-        Each step takes the smallest cherry (a vertex next to remaining
-        leaves l1 < l2) other than the pair of the smallest and largest
-        remaining leaf; its vertex then stands in for l1, with its third
-        edge `edge` as l1's leaf edge.  Raises ValueError when l1 and l2 are
-        not adjacent among the remaining leaves (a non-planar numbering).
+        One stack pass over the leaves, linear in them: while the top two
+        entries (label, vertex, the vertex it hangs off) share that vertex,
+        it stands in for l1, with its third edge `edge` as l1's leaf edge.
+        This peels the smallest cherry other than the pair of the smallest
+        and largest remaining leaf.  Raises ValueError, naming a cherry,
+        when more than three leaves are left (a non-planar numbering).
         """
-        label = {v: i for i, v in enumerate(self.leaf_vertices, start=1)}
-
-        def leaves_at(v):
-            return sorted(label[w] for w, _ in self._adj[v] if w in label)
-
-        inner = {v: leaves_at(v) for v in self._adj if v not in label}
-        steps = []
-        while len(label) > 3:
-            wrap = [min(label.values()), max(label.values())]
-            (l1, l2), vertex = min((ends, v) for v, ends in inner.items()
-                                   if len(ends) == 2 and ends != wrap)
-            if any(l1 < i < l2 for i in label.values()):
-                raise ValueError("cherry leaves (%d, %d) are not adjacent "
-                                 "among the remaining leaves" % (l1, l2))
-            for w, eidx in self._adj[vertex]:
-                if w in label:
-                    del label[w]
-                else:
-                    edge, parent = eidx, w
-            label[vertex] = l1
-            del inner[vertex]
-            inner[parent] = leaves_at(parent)
-            steps.append((l1, l2, edge))
+        steps, stack = [], []
+        for label, leaf in enumerate(self.leaf_vertices, start=1):
+            stack.append((label, leaf, self._adj[leaf][0][0]))
+            while (len(steps) < self.n_leaves - 3 and len(stack) > 1
+                   and stack[-1][2] == stack[-2][2]):
+                (l2, v2, vertex), (l1, v1, _) = stack.pop(), stack.pop()
+                edge, parent = next((eidx, w) for w, eidx in self._adj[vertex]
+                                    if w not in (v1, v2))
+                stack.append((l1, vertex, parent))
+                steps.append((l1, l2, edge))
+        if len(steps) < self.n_leaves - 3:
+            ends = {}
+            for label, _, parent in stack:
+                ends.setdefault(parent, []).append(label)
+            wrap = [stack[0][0], stack[-1][0]]
+            l1, l2 = min(e for e in ends.values() if len(e) == 2 and e != wrap)
+            raise ValueError("cherry leaves (%d, %d) are not adjacent "
+                             "among the remaining leaves" % (l1, l2))
         return steps
 
     def __repr__(self):
@@ -273,29 +276,23 @@ def classify_intersection(tree, pair_a, pair_b):
         if not (1 <= i < j <= tree.n_leaves):
             raise ValueError("pair (%d, %d) is not 1 <= i < j <= %d"
                              % (i, j, tree.n_leaves))
-    a = tuple(pair_a)
-    b = tuple(pair_b)
+    a, b = tuple(pair_a), tuple(pair_b)
     if set(a) & set(b):
         return IntersectionResult("ordered", None)
     if not tree.path_mask(*a) & tree.path_mask(*b):
         return IntersectionResult("disjoint", None)
     p1, p2, p3, p4 = sorted(set(a) | set(b))
-    pairings = [
-        ((p1, p2), (p3, p4)),
-        ((p1, p3), (p2, p4)),
-        ((p1, p4), (p2, p3)),
-    ]
-    ours = tuple(sorted((a, b)))  # a and b are sorted pairs already
-    others = [pg for pg in pairings if pg != ours]
-    intersecting = [pg for pg in others
-                    if tree.path_mask(*pg[0]) & tree.path_mask(*pg[1])]
-    if len(intersecting) != 1:
+    meeting = [pg for pg in (((p1, p2), (p3, p4)), ((p1, p3), (p2, p4)),
+                             ((p1, p4), (p2, p3)))
+               if tree.path_mask(*pg[0]) & tree.path_mask(*pg[1])]
+    if len(meeting) != 2:
         raise AssertionError(
             "leaf numbering inconsistent with a planar embedding at %r / %r"
             % (a, b))
-    dual = intersecting[0]
-    kind = "ordered" if ours < dual else "unordered"
-    return IntersectionResult(kind, dual)
+    ordered, unordered = meeting
+    if tuple(sorted((a, b))) == ordered:  # a and b are sorted pairs already
+        return IntersectionResult("ordered", unordered)
+    return IntersectionResult("unordered", ordered)
 
 
 def ideal_relations(tree):
@@ -306,8 +303,12 @@ def ideal_relations(tree):
     difference of path-length sums that the degeneration scales by.  By
     the four-point condition for tree metrics it is t = 2*|shared path|,
     the shared path being the intersection of the two meeting paths, so it
-    is always positive.
+    is always positive.  More than RELATIONS_LIMIT relations are refused
+    up front with CapacityError.
     """
+    if comb(tree.n_leaves, 4) > RELATIONS_LIMIT:
+        raise CapacityError("%d relations exceed the limit %d"
+                            % (comb(tree.n_leaves, 4), RELATIONS_LIMIT))
     out = []
     m = tree.path_mask
     for i, j, k, l in combinations(range(1, tree.n_leaves + 1), 4):

@@ -77,3 +77,39 @@ def brute_force_decompositions(tree, values):
 
     recurse(0, tuple(values), {})
     return found
+
+
+def reference_peel_order(tree):
+    """Tree.peel_order by its rule, one step at a time: take the smallest
+    cherry (l1, l2) other than the pair of the smallest and largest
+    remaining leaf, refuse it unless l1 and l2 are adjacent among the
+    remaining leaves, and let its vertex stand in for l1.  Quadratic in the
+    leaves; built from tree.edges alone."""
+    adj = {}
+    for k, (u, v) in enumerate(tree.edges, start=1):
+        adj.setdefault(u, []).append((v, k))
+        adj.setdefault(v, []).append((u, k))
+    label = {v: i for i, v in enumerate(tree.leaf_vertices, start=1)}
+
+    def leaves_at(v):
+        return sorted(label[w] for w, _ in adj[v] if w in label)
+
+    inner = {v: leaves_at(v) for v in adj if v not in label}
+    steps = []
+    while len(label) > 3:
+        wrap = [min(label.values()), max(label.values())]
+        (l1, l2), vertex = min((ends, v) for v, ends in inner.items()
+                               if len(ends) == 2 and ends != wrap)
+        if any(l1 < i < l2 for i in label.values()):
+            raise ValueError("cherry leaves (%d, %d) are not adjacent "
+                             "among the remaining leaves" % (l1, l2))
+        for w, k in adj[vertex]:
+            if w in label:
+                del label[w]
+            else:
+                edge, parent = k, w
+        label[vertex] = l1
+        del inner[vertex]
+        inner[parent] = leaves_at(parent)
+        steps.append((l1, l2, edge))
+    return steps

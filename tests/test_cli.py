@@ -217,6 +217,11 @@ def test_deep_inputs_are_answered(capsys):
                            "(*," * 1498 + "(*,*)" + ")" * 1498,
                            "--values", ",".join(["0"] * 2997))
     assert (code, out) == (0, "{}\n")
+    big = 10 ** 18
+    values = ",".join(str(v) for v in (big, big, big, big, 2 * big))
+    code, out, _ = run_cli(capsys, "decompose", "--tree", "((*,*),(*,*))",
+                           "--values", values)
+    assert (code, out) == (0, "{(1,3): %d, (2,4): %d}\n" % (big, big))
     code, out, _ = run_cli(capsys, "dim", "--n", "1100", "--grading",
                            ",".join(["1"] + ["0"] * 1098 + ["1"]))
     assert (code, out) == (0, "1\n")
@@ -331,6 +336,9 @@ def test_usage_error_exit_code():
      "capacity"),
     (["series", "--n", "2", "--max-degree", "65536"], "precision"),
     (["numerator", "--n", "10", "--method", "sym"], "capacity"),
+    (["numerator", "--n", "200", "--method", "ie", "--tree",
+      "(*," * 198 + "(*,*)" + ")" * 198], "capacity"),
+    (["relations", "--tree", "(*," * 98 + "(*,*)" + ")" * 98], "capacity"),
 ])
 def test_oversized_requests_exit_3_at_once(argv, reason):
     # a subprocess, so that a request that does run is cut by the timeout

@@ -33,7 +33,7 @@ from grasshilb.polyring import (
     truncate,
 )
 from grasshilb.semigroup import count_gradation
-from grasshilb.trees import caterpillar, parse_tree
+from grasshilb.trees import caterpillar, classify_intersection, parse_tree
 
 from helpers import random_tree
 
@@ -117,6 +117,16 @@ def test_excluded_configurations_general_tree_count():
     t = parse_tree("(((*,*),*),((*,*),*))")
     assert t.n_leaves == 6
     assert len(excluded_configurations(t)) == 15
+
+
+def test_excluded_configurations_are_the_unordered_pairs_of_pairs():
+    rng = random.Random(209)
+    for _ in range(40):
+        t = random_tree(rng.randint(2, 9), rng)
+        want = [(a, b) for a, b in combinations(all_pairs(t.n_leaves), 2)
+                if classify_intersection(t, a, b).kind == "unordered"]
+        assert excluded_configurations(t) == want
+        assert len(want) == comb(t.n_leaves, 4)
 
 
 def test_numerator_ie_golden():

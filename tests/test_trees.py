@@ -14,7 +14,7 @@ from grasshilb.trees import (
     parse_tree,
 )
 
-from helpers import random_tree, random_tree_text
+from helpers import random_tree, random_tree_text, reference_peel_order
 
 
 def test_caterpillar_shape():
@@ -325,6 +325,40 @@ def test_peel_order_rejects_non_planar_numbering():
     # leaves 1 and 3 share vertex 4, leaves 2 and 4 share vertex 5
     t = Tree(4, [(0, 4), (2, 4), (4, 5), (1, 5), (3, 5)], [0, 1, 2, 3])
     with pytest.raises(ValueError, match="not adjacent"):
+        t.peel_order()
+
+
+def test_peel_order_matches_smallest_cherry_rule():
+    rng = random.Random(208)
+    trees = [caterpillar(n) for n in range(2, 41)]
+    trees += [random_tree(rng.randint(2, 40), rng) for _ in range(1000)]
+    trees.append(parse_tree("(*," * 2998 + "(*,*)" + ")" * 2998))
+    for t in trees:
+        assert t.peel_order() == reference_peel_order(t)
+    # raw trees with their leaves rotated (still planar) or shuffled
+    refused = 0
+    for _ in range(300):
+        t = random_tree(rng.randint(4, 12), rng)
+        leaves = list(t.leaf_vertices)
+        if rng.random() < 0.5:
+            k = rng.randrange(len(leaves))
+            leaves = leaves[k:] + leaves[:k]
+        else:
+            rng.shuffle(leaves)
+        raw = Tree(t.n_leaves, t.edges, leaves)
+        try:
+            want = reference_peel_order(raw)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="not adjacent"):
+                raw.peel_order()
+        else:
+            assert raw.peel_order() == want
+    assert 50 < refused < 250
+    # leaves 1 and 5, the pair never peeled, share vertex 5; so do 2 and 4
+    t = Tree(5, [(0, 5), (4, 5), (1, 6), (3, 6), (5, 7), (6, 7), (2, 7)],
+             [0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"cherry leaves \(2, 4\) are not"):
         t.peel_order()
 
 
