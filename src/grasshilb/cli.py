@@ -93,7 +93,19 @@ def cmd_dim(args):
     if any(g < 0 for g in grading):
         raise ValueError("--grading entries must be non-negative")
     if args.method == "oracle":
+        # the Kostka closed form sizes the walk up front and checks it after
+        cells = sum(1 for g in grading if g) * (sum(grading) // 2 + 1)
+        if cells > polyring.SWEEP_LIMIT:
+            raise CapacityError("the closed form spans %d cells, more than "
+                                "the limit %d" % (cells, polyring.SWEEP_LIMIT))
+        expected = semigroup._two_row_count(grading)
+        if expected > semigroup.DIM_LIMIT:
+            raise CapacityError("dimension %d exceeds the limit %d of the "
+                                "oracle walk" % (expected, semigroup.DIM_LIMIT))
         value = semigroup.count_gradation(args.n, grading)
+        if value != expected:
+            raise AssertionError("oracle count %d, closed form %d"
+                                 % (value, expected))
     else:
         series = hilbert.series_by_recursion(args.n, sum(grading))
         value = series.coefficient(tuple(grading))

@@ -142,15 +142,12 @@ def embracing_configurations(n):
 
 
 def excluded_configurations(tree):
-    """All unordered-intersecting 2-tuples of leaf pairs of a tree, each
-    as (smaller pair, larger pair), in order: one per 4-subset p<q<r<s,
-    the larger meeting pairing, so (p,r),(q,s) or (p,s),(q,r)."""
-    out = []
-    for p, q, r, s in combinations(range(1, tree.n_leaves + 1), 4):
-        for cfg in (((p, r), (q, s)), ((p, s), (q, r))):
-            if trees.classify_intersection(tree, *cfg).kind == "unordered":
-                out.append(cfg)
-    return sorted(out)
+    """The unordered-intersecting pairs of leaf pairs of a tree, sorted:
+    for each relation i<j<k<l of trees.ideal_relations, (i,k),(j,l) when
+    it is W1 and (i,l),(j,k) when it is W2."""
+    return sorted(((r.i, r.k), (r.j, r.l)) if r.kind == "W1"
+                  else ((r.i, r.l), (r.j, r.k))
+                  for r in trees.ideal_relations(tree))
 
 
 def numerator_inclusion_exclusion(n, tree=None):
@@ -377,7 +374,7 @@ def _oracle_check(reference, jobs):
                 counts = list(pool.map(
                     semigroup.count_gradation, [n] * len(lams), lams,
                     chunksize=max(1, len(lams) // (workers * 8))))
-        except (OSError, PermissionError):
+        except OSError:
             counts = None
     if counts is None:
         counts = [semigroup.count_gradation(n, lam) for lam in lams]

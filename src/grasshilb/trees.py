@@ -3,7 +3,7 @@
 A tree with n >= 2 leaves has 2n-3 edges, numbered 1..2n-3.  The leaf
 numbering always follows the circular (anticlockwise) order of the leaves
 in a planar drawing; for parsed trees that is the left-to-right order of
-``*`` in the text.
+``*`` in the text; the Tree constructor refuses any other numbering.
 
 Caterpillar numbering (spine vertices v_1..v_{n-2}):
 
@@ -88,11 +88,12 @@ class Tree:
     """3-valent tree with numbered leaves and numbered edges.
 
     Construct through caterpillar() or parse_tree(); the raw constructor
-    refuses a layout that is not a connected 3-valent tree.  One traversal
-    from leaf 1 stores each leaf's edge mask, and path_mask(i, j) is the
-    xor of two of them.  The path semigroup is decomposed on the tree
-    itself: peel_order() lists its cherries in the tree's own leaf and
-    edge numbers, which the diagnostics also use.
+    refuses a layout that is not a connected 3-valent tree, or a leaf
+    numbering that is not planar: one whose cherries cannot be peeled down
+    to three leaves.  One traversal from leaf 1 stores each leaf's edge
+    mask, and path_mask(i, j) is the xor of two of them.  The path
+    semigroup is decomposed on the tree itself: peel_order() lists its
+    cherries in the tree's own leaf and edge numbers.
     """
 
     def __init__(self, n_leaves, edges, leaf_vertices):
@@ -117,6 +118,28 @@ class Tree:
             raise ValueError("the edges leave %d of %d vertices unreachable"
                              % (len(self._adj) - len(mask), len(self._adj)))
         self._leaf_masks = [mask[v] for v in self.leaf_vertices]
+        # peel in one stack pass of (label, vertex, the vertex it hangs
+        # off): while the top two hang off one vertex, it takes their place;
+        # more than three leaves left means a non-planar numbering
+        steps, stack = [], []
+        for label, leaf in enumerate(self.leaf_vertices, start=1):
+            stack.append((label, leaf, self._adj[leaf][0][0]))
+            while (len(steps) < self.n_leaves - 3 and len(stack) > 1
+                   and stack[-1][2] == stack[-2][2]):
+                (l2, v2, vertex), (l1, v1, _) = stack.pop(), stack.pop()
+                edge, parent = next((eidx, w) for w, eidx in self._adj[vertex]
+                                    if w not in (v1, v2))
+                stack.append((l1, vertex, parent))
+                steps.append((l1, l2, edge))
+        if len(steps) < self.n_leaves - 3:
+            ends = {}
+            for label, _, parent in stack:
+                ends.setdefault(parent, []).append(label)
+            wrap = [stack[0][0], stack[-1][0]]
+            l1, l2 = min(e for e in ends.values() if len(e) == 2 and e != wrap)
+            raise ValueError("cherry leaves (%d, %d) are not adjacent "
+                             "among the remaining leaves" % (l1, l2))
+        self._peel_steps = steps
 
     def _validate(self):
         n = self.n_leaves
@@ -162,34 +185,11 @@ class Tree:
 
     def peel_order(self):
         """The cherry steps (l1, l2, edge) that reduce the tree to three
-        leaves, in the tree's own leaf and edge numbers.
-
-        One stack pass over the leaves, linear in them: while the top two
-        entries (label, vertex, the vertex it hangs off) share that vertex,
-        it stands in for l1, with its third edge `edge` as l1's leaf edge.
-        This peels the smallest cherry other than the pair of the smallest
-        and largest remaining leaf.  Raises ValueError, naming a cherry,
-        when more than three leaves are left (a non-planar numbering).
-        """
-        steps, stack = [], []
-        for label, leaf in enumerate(self.leaf_vertices, start=1):
-            stack.append((label, leaf, self._adj[leaf][0][0]))
-            while (len(steps) < self.n_leaves - 3 and len(stack) > 1
-                   and stack[-1][2] == stack[-2][2]):
-                (l2, v2, vertex), (l1, v1, _) = stack.pop(), stack.pop()
-                edge, parent = next((eidx, w) for w, eidx in self._adj[vertex]
-                                    if w not in (v1, v2))
-                stack.append((l1, vertex, parent))
-                steps.append((l1, l2, edge))
-        if len(steps) < self.n_leaves - 3:
-            ends = {}
-            for label, _, parent in stack:
-                ends.setdefault(parent, []).append(label)
-            wrap = [stack[0][0], stack[-1][0]]
-            l1, l2 = min(e for e in ends.values() if len(e) == 2 and e != wrap)
-            raise ValueError("cherry leaves (%d, %d) are not adjacent "
-                             "among the remaining leaves" % (l1, l2))
-        return steps
+        leaves in its own leaf and edge numbers, found once when the tree
+        is built: each peels the smallest cherry other than the pair of the
+        smallest and largest remaining leaf, its vertex taking l1's place
+        with its third edge `edge` as l1's leaf edge."""
+        return list(self._peel_steps)
 
     def __repr__(self):
         return "Tree(n_leaves=%d)" % self.n_leaves
@@ -270,7 +270,10 @@ def classify_intersection(tree, pair_a, pair_b):
 
     Returns IntersectionResult with kind "disjoint", "ordered" or
     "unordered"; for intersecting paths on four distinct leaves the result
-    also carries the dual pairing of the same four leaves.
+    also carries the dual pairing of the same four leaves.  With the leaves
+    p < q < r < s the planar numbering leaves one bit to read: when
+    (p,q),(r,s) meets it is ordered and (p,r),(q,s) unordered, otherwise
+    (p,r),(q,s) is ordered and (p,s),(q,r) unordered.
     """
     for i, j in (pair_a, pair_b):
         if not (1 <= i < j <= tree.n_leaves):
@@ -281,15 +284,11 @@ def classify_intersection(tree, pair_a, pair_b):
         return IntersectionResult("ordered", None)
     if not tree.path_mask(*a) & tree.path_mask(*b):
         return IntersectionResult("disjoint", None)
-    p1, p2, p3, p4 = sorted(set(a) | set(b))
-    meeting = [pg for pg in (((p1, p2), (p3, p4)), ((p1, p3), (p2, p4)),
-                             ((p1, p4), (p2, p3)))
-               if tree.path_mask(*pg[0]) & tree.path_mask(*pg[1])]
-    if len(meeting) != 2:
-        raise AssertionError(
-            "leaf numbering inconsistent with a planar embedding at %r / %r"
-            % (a, b))
-    ordered, unordered = meeting
+    p, q, r, s = sorted(a + b)
+    if tree.path_mask(p, q) & tree.path_mask(r, s):
+        ordered, unordered = ((p, q), (r, s)), ((p, r), (q, s))
+    else:
+        ordered, unordered = ((p, r), (q, s)), ((p, s), (q, r))
     if tuple(sorted((a, b))) == ordered:  # a and b are sorted pairs already
         return IntersectionResult("ordered", unordered)
     return IntersectionResult("unordered", ordered)
@@ -313,12 +312,7 @@ def ideal_relations(tree):
     m = tree.path_mask
     for i, j, k, l in combinations(range(1, tree.n_leaves + 1), 4):
         shared = m(i, j) & m(k, l)
-        kind = "W1"
-        if not shared:
-            shared = m(i, l) & m(j, k)
-            kind = "W2"
-        if not shared:
-            raise AssertionError("no intersecting outer pairing for quadruple "
-                                 "(%d,%d,%d,%d)" % (i, j, k, l))
+        kind = "W1" if shared else "W2"
+        shared = shared or m(i, l) & m(j, k)
         out.append(IdealRelation(i, j, k, l, kind, 2 * shared.bit_count()))
     return out

@@ -79,17 +79,17 @@ def brute_force_decompositions(tree, values):
     return found
 
 
-def reference_peel_order(tree):
+def reference_peel_order(edges, leaf_vertices):
     """Tree.peel_order by its rule, one step at a time: take the smallest
     cherry (l1, l2) other than the pair of the smallest and largest
     remaining leaf, refuse it unless l1 and l2 are adjacent among the
     remaining leaves, and let its vertex stand in for l1.  Quadratic in the
-    leaves; built from tree.edges alone."""
+    leaves; built from the edges and leaf vertices of a Tree alone."""
     adj = {}
-    for k, (u, v) in enumerate(tree.edges, start=1):
+    for k, (u, v) in enumerate(edges, start=1):
         adj.setdefault(u, []).append((v, k))
         adj.setdefault(v, []).append((u, k))
-    label = {v: i for i, v in enumerate(tree.leaf_vertices, start=1)}
+    label = {v: i for i, v in enumerate(leaf_vertices, start=1)}
 
     def leaves_at(v):
         return sorted(label[w] for w, _ in adj[v] if w in label)

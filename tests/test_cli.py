@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import grasshilb
-from grasshilb import hilbert
+from grasshilb import hilbert, semigroup
 from grasshilb.cli import main
 from grasshilb.polyring import from_json_dict, to_json_dict
 from grasshilb.hilbert import (numerator_symmetric_recursion,
@@ -86,6 +86,13 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert out == ""
     assert "internal error" in err
     assert "AssertionError: self-check failed" in err
+
+
+def test_dim_checks_the_walk_against_the_closed_form(capsys, monkeypatch):
+    monkeypatch.setattr(semigroup, "count_gradation", lambda n, lam: 3)
+    code, out, err = run_cli(capsys, "dim", "--n", "4", "--grading", "1,1,1,1")
+    assert (code, out) == (4, "")
+    assert "AssertionError: oracle count 3, closed form 2" in err
 
 
 def test_no_assert_statement_in_the_package():
@@ -339,6 +346,8 @@ def test_usage_error_exit_code():
     (["numerator", "--n", "200", "--method", "ie", "--tree",
       "(*," * 198 + "(*,*)" + ")" * 198], "capacity"),
     (["relations", "--tree", "(*," * 98 + "(*,*)" + ")" * 98], "capacity"),
+    (["dim", "--n", "30", "--grading", ",".join(["1"] * 30)], "capacity"),
+    (["dim", "--n", "2", "--grading", "1000000000,1000000000"], "capacity"),
 ])
 def test_oversized_requests_exit_3_at_once(argv, reason):
     # a subprocess, so that a request that does run is cut by the timeout

@@ -32,8 +32,9 @@ from grasshilb.polyring import (
     permute_variables,
     truncate,
 )
-from grasshilb.semigroup import count_gradation
-from grasshilb.trees import caterpillar, classify_intersection, parse_tree
+from grasshilb.semigroup import count_gradation, enumerate_gradation_elements
+from grasshilb.trees import (Tree, caterpillar, classify_intersection,
+                             parse_tree)
 
 from helpers import random_tree
 
@@ -127,6 +128,37 @@ def test_excluded_configurations_are_the_unordered_pairs_of_pairs():
                 if classify_intersection(t, a, b).kind == "unordered"]
         assert excluded_configurations(t) == want
         assert len(want) == comb(t.n_leaves, 4)
+
+
+def test_relabelled_raw_trees_are_refused_or_answer_right():
+    # a numbering the peel cannot reduce is refused when the tree is
+    # built; any other gives F_n and the oracle's count of elements
+    rng = random.Random(212)
+    refused = 0
+    for _ in range(120):
+        n = rng.randint(5, 8)
+        t = random_tree(n, rng)
+        leaves = list(t.leaf_vertices)
+        rng.shuffle(leaves)
+        try:
+            raw = Tree(n, t.edges, leaves)
+        except ValueError as exc:
+            assert "not adjacent" in str(exc)
+            refused += 1
+            continue
+        if comb(n, 4) <= EXC_LIMIT:
+            assert numerator_inclusion_exclusion(n, raw) == \
+                numerator_inclusion_exclusion(n)
+        lam = (2,) * n
+        assert len(enumerate_gradation_elements(raw, lam)) == \
+            count_gradation(n, lam)
+    assert 20 < refused < 110
+    # cherries {1, 3} and {2, 4}: read as planar, it gave the relation
+    # (1,2,3,4) W1 and the configuration ((1,4),(2,3))
+    with pytest.raises(ValueError, match=r"cherry leaves \(1, 3\) are not "
+                                         "adjacent among the remaining leaves"):
+        Tree(4, [("u", "v"), ("u", "a"), ("v", "b"), ("u", "c"), ("v", "d")],
+             ["a", "b", "c", "d"])
 
 
 def test_numerator_ie_golden():

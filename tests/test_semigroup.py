@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ import grasshilb
 from grasshilb.semigroup import (
     NotInSemigroupError,
     PathMultiset,
+    _two_row_count,
     count_gradation,
     decompose,
     enumerate_gradation_elements,
@@ -305,3 +306,14 @@ def test_count_gradation_equals_filtered_brute_force():
             from_brute[lam] = from_brute.get(lam, 0) + 1
     for lam, expected in from_brute.items():
         assert count_gradation(5, list(lam)) == expected
+
+
+def test_two_row_closed_form_matches_oracle():
+    # the Kostka number K_(d,d),lam that dim checks its walk against
+    gradings = [lam for n in range(2, 7) for lam in product(range(4), repeat=n)
+                if sum(lam) <= 10]
+    rng = random.Random(213)
+    gradings += [tuple(rng.randint(0, 4) for _ in range(8)) for _ in range(40)]
+    for lam in gradings:
+        assert _two_row_count(lam) == count_gradation(len(lam), lam), lam
+    assert _two_row_count((1,) * 30) == 9694845  # Catalan(15)

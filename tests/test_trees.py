@@ -323,9 +323,8 @@ def test_peel_order_in_tree_numbers():
 
 def test_peel_order_rejects_non_planar_numbering():
     # leaves 1 and 3 share vertex 4, leaves 2 and 4 share vertex 5
-    t = Tree(4, [(0, 4), (2, 4), (4, 5), (1, 5), (3, 5)], [0, 1, 2, 3])
     with pytest.raises(ValueError, match="not adjacent"):
-        t.peel_order()
+        Tree(4, [(0, 4), (2, 4), (4, 5), (1, 5), (3, 5)], [0, 1, 2, 3])
 
 
 def test_peel_order_matches_smallest_cherry_rule():
@@ -334,7 +333,8 @@ def test_peel_order_matches_smallest_cherry_rule():
     trees += [random_tree(rng.randint(2, 40), rng) for _ in range(1000)]
     trees.append(parse_tree("(*," * 2998 + "(*,*)" + ")" * 2998))
     for t in trees:
-        assert t.peel_order() == reference_peel_order(t)
+        assert t.peel_order() == reference_peel_order(t.edges,
+                                                      t.leaf_vertices)
     # raw trees with their leaves rotated (still planar) or shuffled
     refused = 0
     for _ in range(300):
@@ -345,21 +345,34 @@ def test_peel_order_matches_smallest_cherry_rule():
             leaves = leaves[k:] + leaves[:k]
         else:
             rng.shuffle(leaves)
-        raw = Tree(t.n_leaves, t.edges, leaves)
         try:
-            want = reference_peel_order(raw)
+            want = reference_peel_order(t.edges, leaves)
         except ValueError:
             refused += 1
             with pytest.raises(ValueError, match="not adjacent"):
-                raw.peel_order()
+                Tree(t.n_leaves, t.edges, leaves)
         else:
-            assert raw.peel_order() == want
+            assert Tree(t.n_leaves, t.edges, leaves).peel_order() == want
     assert 50 < refused < 250
     # leaves 1 and 5, the pair never peeled, share vertex 5; so do 2 and 4
-    t = Tree(5, [(0, 5), (4, 5), (1, 6), (3, 6), (5, 7), (6, 7), (2, 7)],
-             [0, 1, 2, 3, 4])
     with pytest.raises(ValueError, match=r"cherry leaves \(2, 4\) are not"):
-        t.peel_order()
+        Tree(5, [(0, 5), (4, 5), (1, 6), (3, 6), (5, 7), (6, 7), (2, 7)],
+             [0, 1, 2, 3, 4])
+
+
+def test_one_disjoint_pairing_never_the_crossing_one():
+    # the four-point split that classify_intersection reads as one bit
+    rng = random.Random(210)
+    trees = [caterpillar(n) for n in range(4, 13)]
+    trees += [random_tree(rng.randint(4, 12), rng) for _ in range(200)]
+    for t in trees:
+        m = t.path_mask
+        for p, q, r, s in combinations(range(1, t.n_leaves + 1), 4):
+            disjoint = [pg for pg in (((p, q), (r, s)), ((p, r), (q, s)),
+                                      ((p, s), (q, r)))
+                        if not m(*pg[0]) & m(*pg[1])]
+            assert len(disjoint) == 1
+            assert disjoint != [((p, r), (q, s))]
 
 
 def _bfs_indicator(tree, i, j):
