@@ -14,9 +14,12 @@ tree's own leaves.
 The gradation of an element restricts it to the leaf edges.  The number
 of elements in a gradation equals the number of multisets of leaf pairs
 that add up to it with no pair strictly embracing another
-(i < i' < j' < j); count_gradation() counts those multisets directly,
-without any tree, and serves as the independent oracle for the series
-coefficients.
+(i < i' < j' < j); count_gradation() walks those multisets one by one,
+each read off how many of every leaf's units are right ends, without any
+tree, and serves as the independent oracle for the series coefficients.
+enumerate_gradation_elements() lists the elements of a gradation on a
+tree by a pair-by-pair walk that skips pairs meeting a chosen one in an
+unordered way.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from itertools import accumulate, combinations
 
 from .trees import Tree, classify_intersection
 
-#: Largest count the CLI's dim walks with count_gradation.  The count
-#: bounds the walk's time only for small entries: (1,)*22 (58,786) took
-#: 8.6 s, (20,)*7 (78,156) 65 s and (400,)*4 (401) 38 s.
+#: Largest count the CLI's dim walks with count_gradation, whose time is
+#: O(count * n).
 DIM_LIMIT = 100_000
 
 
@@ -216,18 +218,27 @@ def gradation(tree, values):
     return tuple(values[tree.leaf_edge(i) - 1] for i in range(1, tree.n_leaves + 1))
 
 
-def _walk_multisets(n, lam, conflicts, found=None):
-    """Number of multisets of pairs (i, j), i < j <= n, whose grading sum
-    is lam, built pair by pair in lexicographic order.
-
-    The chosen pairs are held in a pair -> multiplicity dict; a pair is
-    added only when conflicts(chosen, pair) is false.  found(chosen), when
-    given, is called on every complete multiset.
-    """
+def _grading(n, lam):
+    """lam as a tuple of n entries, or None when it grades nothing (a
+    negative entry or an odd total)."""
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
-    if any(v < 0 for v in lam) or sum(lam) % 2:
+    if min(lam, default=0) < 0 or sum(lam) % 2:
+        return None
+    return lam
+
+
+def _walk_multisets(n, lam, conflicts, found):
+    """Number of multisets of pairs (i, j), i < j <= n, whose grading sum
+    is lam, built pair by pair in lexicographic order; found(chosen) is
+    called on each.
+
+    The chosen pairs are held in a pair -> multiplicity dict; a pair is
+    added only when conflicts(chosen, pair) is false.
+    """
+    lam = _grading(n, lam)
+    if lam is None:
         return 0
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     npairs = len(pairs)
@@ -239,8 +250,7 @@ def _walk_multisets(n, lam, conflicts, found=None):
             if v:
                 break
         else:
-            if found is not None:
-                found(chosen)
+            found(chosen)
             return 1
         # a pair (f, j) with nothing left at j takes no multiplicity: skip
         # it here, not by one recursive call each, which n ~ 1000 overflows
@@ -266,22 +276,51 @@ def _walk_multisets(n, lam, conflicts, found=None):
     return rec(0)
 
 
-def _embraces(chosen, pair):
-    i, j = pair
-    for a, b in chosen:
-        if (a < i and j < b) or (i < a and b < j):
-            return True
-    return False
-
-
 def count_gradation(n, lam):
     """Number of multisets of pairs (i, j), i < j <= n, whose grading sum
     is lam and in which no pair embraces another (i < i' < j' < j).
 
+    Sorted, such a multiset has non-decreasing left ends and non-decreasing
+    right ends: it is a tableau of shape (d, d), and it is fixed by b_k, the
+    number of leaf k's lam_k units that are right ends.  With h_k the left
+    ends still open before leaf k, the b_k are valid exactly when
+    0 <= b_k <= min(lam_k, h_k), h_{k+1} = h_k + lam_k - 2 b_k, h_1 = 0 and
+    h_{n+1} = 0.  The h from which 0 is still reachable form an interval
+    [lo_k, hi_k], computed backwards: hi_k = hi_{k+1} + lam_k and
+    lo_k = max(0, lo_{k+1} - lam_k, lam_k - hi_{k+1}).  The walk keeps each
+    h_{k+1} in its interval, so it has no dead branch: it reaches the last
+    nonzero leaf once per multiset, in time O(count * n).
+
     Pure lattice combinatorics, independent of any tree or series; this is
     the oracle the series methods are checked against.
     """
-    return _walk_multisets(n, lam, _embraces)
+    lam = _grading(n, lam)
+    if lam is None:
+        return 0
+    lam = [v for v in lam if v]  # a zero entry leaves h as it is
+    last = len(lam) - 1
+    if last < 0:
+        return 1
+    lo = [0] * (last + 2)
+    hi = [0] * (last + 2)
+    for k in range(last, -1, -1):
+        v = lam[k]
+        hi[k] = hi[k + 1] + v
+        lo[k] = max(0, lo[k + 1] - v, v - hi[k + 1])
+    if lo[0]:
+        return 0
+    count = 0
+    stack = [(0, 0)]  # (leaf, open left ends before it), h in [lo, hi]
+    while stack:
+        k, h = stack.pop()
+        if k == last:  # h in [lo, hi] here leaves one b: b = h = lam[k]
+            count += 1
+            continue
+        top = h + lam[k]  # h_{k+1} with b_k = 0; top - hi[k + 1] is even
+        b_min = max(0, (top - hi[k + 1]) // 2)
+        b_max = min(lam[k], h, (top - lo[k + 1]) // 2)
+        stack.extend([(k + 1, top - 2 * b) for b in range(b_min, b_max + 1)])
+    return count
 
 
 def _two_row_count(lam):

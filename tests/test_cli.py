@@ -118,6 +118,17 @@ def test_dim_text(capsys):
     assert out == "2\n"
 
 
+def test_dim_walk_time_follows_the_count(capsys):
+    # each count is small, and the walk takes time with the count: these
+    # are answered, not left running for hours
+    code, out, _ = run_cli(capsys, "dim", "--n", "31", "--grading",
+                           ",".join(["30"] + ["1"] * 30))
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run_cli(capsys, "dim", "--n", "4", "--grading",
+                           "10000,10000,10000,10000")
+    assert (code, out) == (0, "10001\n")
+
+
 def test_dim_json(capsys):
     code, out, _ = run_cli(capsys, "dim", "--n", "5", "--grading",
                            "2,1,1,1,1", "--format", "json")

@@ -14,6 +14,7 @@ from grasshilb.semigroup import (
     NotInSemigroupError,
     PathMultiset,
     _two_row_count,
+    _walk_multisets,
     count_gradation,
     decompose,
     enumerate_gradation_elements,
@@ -227,7 +228,39 @@ def test_count_gradation_frozen():
     assert count_gradation(3, [1, 1, 0]) == 1
     assert count_gradation(4, [1, 0, 0, 0]) == 0
     assert count_gradation(4, [1, 1, 1, 0]) == 0  # odd total
+    assert count_gradation(3, [-1, 1, 2]) == 0  # negative entry
     assert count_gradation(2, [3, 3]) == 1
+    assert count_gradation(1, [0]) == 1
+    assert count_gradation(1, [2]) == 0
+    with pytest.raises(ValueError, match="expected 4 grading entries, got 3"):
+        count_gradation(4, [1, 1, 0])
+
+
+def embraces(chosen, pair):
+    i, j = pair
+    return any(a < i and j < b or i < a and b < j for a, b in chosen)
+
+
+def pair_walk_count(n, lam):
+    # the pair-by-pair walk, with the embrace test as its conflict
+    return _walk_multisets(n, lam, embraces, lambda chosen: None)
+
+
+def test_count_gradation_matches_pair_walk():
+    gradings = [lam for n in range(1, 7) for lam in product(range(9), repeat=n)
+                if sum(lam) <= 8]
+    gradings += [lam for lam in product(range(7), repeat=7) if sum(lam) <= 6]
+    rng = random.Random(216)
+    gradings += [tuple(rng.randint(0, 3) for _ in range(n))
+                 for n in range(8, 13) for _ in range(8)]
+    for lam in gradings:
+        assert count_gradation(len(lam), lam) == pair_walk_count(len(lam), lam), lam
+
+
+def test_count_gradation_has_no_dead_branches():
+    # 78,156 multisets, which a walk trying every multiplicity of every
+    # pair took about a minute to count
+    assert count_gradation(7, (20,) * 7) == 78156
 
 
 def test_count_gradation_symmetric_in_lambda():
