@@ -26,6 +26,7 @@ byte for byte, from one template per term.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -494,15 +495,19 @@ def permute_variables(obj, perm):
     n = obj.num_vars
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (perm, n))
-    # the key slot of z_i moves to that of z_perm[i]; the degree slot,
-    # taken as variable 0, stays
-    slot = (1 << _WIDTH) - 1
-    moves = [(_WIDTH * (n - i), _WIDTH * (n - j))
-             for i, j in enumerate((0,) + perm)]
-    return IntPolynomial._trusted(
-        n, {sum([(k >> s & slot) << t for s, t in moves]): c
-            for k, c in obj._terms.items()},
-        obj.max_total_degree)
+    # slot i of a key (0: the degree, i: z_i) moves to slot perm[i], one
+    # column at a time over the joined key bytes: whole slots move, so the
+    # byte order of the array does not matter
+    size = _layout(n).size
+    slots = array("H", b"".join([k.to_bytes(size, "big") for k in obj._terms]))
+    moved = array("H", slots)
+    for i, j in enumerate(perm, start=1):
+        moved[j::n + 1] = slots[i::n + 1]
+    data, from_bytes = moved.tobytes(), int.from_bytes
+    keys = [from_bytes(data[o:o + size], "big")
+            for o in range(0, len(data), size)]
+    return IntPolynomial._trusted(n, dict(zip(keys, obj._terms.values())),
+                                  obj.max_total_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Shared test utilities: random tree shapes, random path multisets, and
-brute-force decomposition search used as an independent cross-check."""
+"""Shared test utilities: random tree shapes, random path multisets,
+brute-force decomposition search and the symmetric-recursion pieces built
+from their definitions, used as independent cross-checks."""
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from grasshilb import PathMultiset, Tree, caterpillar, parse_tree
+from grasshilb.polyring import (IntPolynomial, complete_homogeneous,
+                                elementary_symmetric)
 
 
 def random_tree_text(n_leaves, rng):
@@ -113,3 +117,40 @@ def reference_peel_order(edges, leaf_vertices):
         inner[parent] = leaves_at(parent)
         steps.append((l1, l2, edge))
     return steps
+
+
+@cache
+def reference_hook_sum(v, s, l):
+    """H(s, l) = sum_{r=0}^{l} (-1)^r h_{s-r} sigma_r in z_1..z_v, from
+    products of complete homogeneous and elementary symmetric
+    polynomials."""
+    total = IntPolynomial.zero(v)
+    for r in range(l + 1):
+        total += ((-1) ** r * complete_homogeneous(v, s - r)
+                  * elementary_symmetric(v, r))
+    return total
+
+
+@cache
+def _sigma_times_hook_sum(v, alpha, s, l):
+    return elementary_symmetric(v, alpha) * reference_hook_sum(v, s, l)
+
+
+def reference_coefficient_polynomial(stage, n, k, l):
+    """a(k, l) of numerator_symmetric_recursion at a stage, in n
+    variables, as its docstring writes it:
+    sum_{beta=0}^{m-3} z_{m-1}^beta
+    sum_{alpha=0}^{k+l} (-1)^alpha sigma_alpha H(k+beta-alpha, beta),
+    with sigma, h and H in the v = m-2 variables z_1..z_v."""
+    v = stage - 2
+    total = IntPolynomial.zero(n)
+    for beta in range(stage - 2):
+        inner = IntPolynomial.zero(v)
+        for alpha in range(k + l + 1):
+            s = k + beta - alpha
+            inner += (-1) ** alpha * _sigma_times_hook_sum(v, alpha, s, beta)
+        attach = [0] * n
+        attach[stage - 2] = beta  # z_{m-1}
+        total += IntPolynomial.monomial(n, attach) * IntPolynomial(
+            n, {e + (0,) * (n - v): c for e, c in inner.terms.items()})
+    return total

@@ -11,6 +11,7 @@ from grasshilb.hilbert import (
     EXC_LIMIT,
     SYM_LIMIT,
     CapacityError,
+    _coefficient_polynomials,
     _next_series,
     _pool_size,
     cross_validate,
@@ -28,6 +29,7 @@ from grasshilb.polyring import (
     all_pairs,
     format_terms,
     geometric_expand,
+    iter_exponents,
     multiply_by_geometric_series,
     permute_variables,
     truncate,
@@ -36,7 +38,8 @@ from grasshilb.semigroup import count_gradation, enumerate_gradation_elements
 from grasshilb.trees import (Tree, caterpillar, classify_intersection,
                              parse_tree)
 
-from helpers import random_tree
+from helpers import (random_tree, reference_coefficient_polynomial,
+                     reference_hook_sum)
 
 
 def test_series_base_case():
@@ -224,15 +227,55 @@ def test_numerator_constant_term():
 
 
 @pytest.mark.parametrize("build, n", [
-    *[(numerator_symmetric_recursion, n) for n in range(4, 8)],
+    *[(numerator_symmetric_recursion, n) for n in range(4, 9)],
     *[(numerator_inclusion_exclusion, n) for n in range(4, 7)],
 ])
 def test_numerator_is_gorenstein_symmetric(build, n):
-    # every coefficient: c at z^e and (-1)^C(n-2,2) c at z^((n-3,...)-e)
+    # every coefficient: c at z^e and (-1)^C(n-2,2) c at z^((n-3,...)-e),
+    # and n - 3 bounds every exponent and is reached
     terms = build(n).terms
     sign = (-1) ** comb(n - 2, 2)
     for e, c in terms.items():
         assert terms.get(tuple(n - 3 - x for x in e)) == sign * c
+    assert max(max(e) for e in terms) == n - 3
+
+
+def test_hook_sums_are_signed_hook_binomials():
+    # H(s, l) = (-1)^l s_(s-l, 1^l) for s > l, [s = 0] for s <= l, and
+    # [z^nu] s_(a, 1^b) = C(p - 1, b) with p the nonzero entries of nu
+    for v in range(1, 6):
+        for l in range(v):
+            for s in range(11):
+                hook = reference_hook_sum(v, s, l)
+                for e in iter_exponents(v, s):
+                    if sum(e) < s:
+                        continue
+                    p = sum(1 for x in e if x)
+                    expected = ((-1) ** l * comb(p - 1, l) if s > l
+                                else int(s == 0))
+                    assert hook.coefficient(e) == expected, (v, s, l, e)
+
+
+def test_coefficient_polynomials_match_their_definition():
+    # every stage of F_7, every k down to -2 and up through the slots the
+    # stage asks for (t <= n + 3), and every top = min(k + l, v)
+    n = 7
+    for stage in range(3, n + 1):
+        v = stage - 2
+        a_terms = _coefficient_polynomials(stage, n)
+        for k in range(-2, n + 4):
+            for top in range(v + 1):
+                closed = IntPolynomial._trusted(n, a_terms(k, top))
+                assert closed == reference_coefficient_polynomial(
+                    stage, n, k, top - k), (stage, k, top)
+
+
+def test_f8_restricts_to_f7():
+    # F_8(z_1, ..., z_7, 0) = F_7: the keys whose z_8 slot is 0, shifted
+    # down one slot, are keys in 7 variables
+    f8 = numerator_symmetric_recursion(8)
+    restricted = {k >> 16: c for k, c in f8._terms.items() if not k & 0xFFFF}
+    assert restricted == numerator_symmetric_recursion(7)._terms
 
 
 def test_series_from_numerator_matches_recursion():

@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -361,6 +361,25 @@ def test_permute_variables_series():
     moved = permute_variables(s, (2, 3, 1))
     assert moved.coefficient((0, 1, 1)) == 1
     assert moved.coefficient((1, 1, 0)) == 0
+
+
+def test_permute_variables_moves_whole_slots_of_a_series():
+    # exponents past one byte: a slot split in the wrong byte order moves
+    # 300 = 0x012c to 0x2c01
+    s = TruncatedSeries(4, 900, {(0, 0, 0, 0): 5, (300, 0, 0, 0): 1,
+                                 (0, 257, 1, 0): 2, (1, 2, 3, 511): -3})
+    perms = list(permutations(range(1, 5)))
+    for sigma in perms:
+        moved = {tuple(e[sigma.index(k + 1)] for k in range(4)): c
+                 for e, c in s.terms.items()}
+        assert permute_variables(s, sigma) == TruncatedSeries(4, 900, moved)
+        for tau in perms:
+            composed = tuple(sigma[tau[i] - 1] for i in range(4))
+            assert permute_variables(permute_variables(s, tau), sigma) == \
+                permute_variables(s, composed)
+    for bad in [(1, 2, 3), (1, 2, 3, 3), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            permute_variables(s, bad)
 
 
 def test_coefficient_at():
