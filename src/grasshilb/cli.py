@@ -37,13 +37,23 @@ INDEX_NOTE = ("variables are z1..zn (1-indexed); formulations indexed "
 def _emit(args, text_lines, json_obj):
     """Print the requested format; `text_lines` and `json_obj` are
     callables, so only that one is built.  `json_obj` returns an object
-    for json.dumps or, for a polynomial, its finished JSON text."""
+    for json.dumps.  A polynomial or series goes through _emit_terms."""
     if args.format == "json":
-        obj = json_obj()
-        print(obj if isinstance(obj, str) else json.dumps(obj, indent=2))
+        print(json.dumps(json_obj(), indent=2))
     else:
         for line in text_lines():
             print(line)
+
+
+def _emit_terms(args, obj):
+    """Write a polynomial or series in the requested format to stdout
+    piece by piece, then one newline, so its whole text is never held:
+    the pieces of polyring.iter_json_text or polyring.iter_text."""
+    write = sys.stdout.write
+    for piece in (polyring.iter_json_text(obj) if args.format == "json"
+                  else polyring.iter_text(obj)):
+        write(piece)
+    write("\n")
 
 
 def _parse_int_list(raw, what):
@@ -67,8 +77,7 @@ def cmd_series(args):
     else:
         numerator = hilbert.numerator_inclusion_exclusion(args.n)
         series = hilbert.series_from_numerator(numerator, args.max_degree)
-    _emit(args, lambda: [format_terms(series)],
-          lambda: polyring.to_json_text(series))
+    _emit_terms(args, series)
     return 0
 
 
@@ -80,8 +89,7 @@ def cmd_numerator(args):
         if args.tree:
             raise ValueError("--tree only applies to --method ie")
         numerator = hilbert.numerator_symmetric_recursion(args.n)
-    _emit(args, lambda: [format_terms(numerator)],
-          lambda: polyring.to_json_text(numerator))
+    _emit_terms(args, numerator)
     return 0
 
 

@@ -19,8 +19,13 @@ degree, then descending lexicographic exponent tuple, which is
 descending key.  So ``h_2`` in two variables prints as
 ``z1^2 + z1*z2 + z2^2``.  A sweep through a cap with more than
 SWEEP_LIMIT cells, C(cap + n, n), raises CapacityError up front.
-to_json_text writes the JSON of to_json_dict with indent 2 directly,
-byte for byte, from one template per term.
+
+iter_json_text writes the JSON of to_json_dict with indent 2 directly,
+byte for byte, and iter_text the text of format_terms, each in pieces
+of _CHUNK terms, so no more than one piece is held at a time.  A JSON
+piece is one %-format of a repeated per-term template over the
+unpacked key slots, with each key's degree slot replaced by the
+previous key's coefficient.
 """
 
 from __future__ import annotations
@@ -513,15 +518,41 @@ def permute_variables(obj, perm):
 # ---------------------------------------------------------------------------
 # formatting and serialization
 
+#: Terms that iter_json_text and iter_text render per piece: it bounds the
+#: text held at once, and each JSON piece is one %-format.
+_CHUNK = 2048
+
+
+def _canonical_keys(obj):
+    """The keys of a store in canonical order: the plain key order is
+    ascending degree, so each degree block is reversed in place, its end
+    found by bisection."""
+    keys = sorted(obj._terms)
+    shift = _WIDTH * obj.num_vars
+    start = 0
+    while start < len(keys):
+        end = bisect_left(keys, ((keys[start] >> shift) + 1) << shift, start)
+        keys[start:end] = keys[start:end][::-1]
+        start = end
+    return keys
+
 
 def _canonical_terms(obj):
     """The (exponent tuple, coefficient) pairs of a store in canonical
-    order: flipping the bits below the degree slot reverses the key order
-    within each degree."""
-    below_degree = (1 << _WIDTH * obj.num_vars) - 1
-    keys = sorted(obj._terms, key=below_degree.__xor__)
+    order."""
+    keys = _canonical_keys(obj)
     return list(zip(_exponents(keys, obj.num_vars),
                     map(obj._terms.__getitem__, keys)))
+
+
+def _key_runs(obj):
+    """The canonical keys of a store in runs of at most _CHUNK, each with
+    the run's joined big-endian key bytes."""
+    keys = _canonical_keys(obj)
+    size = _layout(obj.num_vars).size
+    for start in range(0, len(keys), _CHUNK):
+        run = keys[start:start + _CHUNK]
+        yield run, b"".join([k.to_bytes(size, "big") for k in run])
 
 
 def _format_monomial(exps, coeff):
@@ -531,20 +562,32 @@ def _format_monomial(exps, coeff):
     return "*".join(factors)
 
 
+def iter_text(obj):
+    """The text of format_terms in pieces of at most _CHUNK terms."""
+    if not obj._terms:
+        yield "0"
+        return
+    iter_unpack = _layout(obj.num_vars).iter_unpack
+    sep = ""
+    for run, data in _key_runs(obj):
+        parts = [("+ " if c > 0 else "- ") + _format_monomial(slots[1:], c)
+                 for slots, c in zip(iter_unpack(data),
+                                     map(obj._terms.__getitem__, run))]
+        if not sep:  # the first term: no "+ ", and "-" without the space
+            first = parts[0]
+            parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+        yield sep
+        yield " ".join(parts)
+        sep = " "
+
+
 def format_terms(obj):
     """Render a polynomial or series as text, e.g. ``1 - z1*z2*z3*z4``.
 
     Terms appear in canonical order; ``^1`` and a ``1*`` coefficient are
     elided; the zero polynomial renders as ``0``.
     """
-    parts = []
-    for e, c in _canonical_terms(obj):
-        mono = _format_monomial(e, c)
-        if not parts:
-            parts.append(mono if c > 0 else "-" + mono)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + mono)
-    return " ".join(parts) or "0"
+    return "".join(iter_text(obj))
 
 
 def to_json_dict(obj):
@@ -558,21 +601,38 @@ def to_json_dict(obj):
     }
 
 
-def to_json_text(obj):
-    """Exactly ``json.dumps(to_json_dict(obj), indent=2)``, written from one
-    %-template per term: no dicts are built and json is not involved."""
+def iter_json_text(obj):
+    """The text of to_json_text in pieces, one per _CHUNK terms, each
+    rendered by one %-format of a repeated per-term template."""
     n = obj.num_vars
     cap = obj.max_total_degree
     head = ('{\n  "num_vars": %d,\n  "max_total_degree": %s,\n  "terms": '
             % (n, "null" if cap is None else cap))
-    terms = _canonical_terms(obj)
-    if not terms:
-        return head + "[]\n}"
+    if not obj._terms:
+        yield head + "[]\n}"
+        return
     exps = "[\n%s\n      ]" % ",\n".join(["        %d"] * n) if n else "[]"
     template = '    {\n      "e": %s,\n      "c": "%%d"\n    }' % exps
-    return (head + "[\n"
-            + ",\n".join([template % (*e, c) for e, c in terms])
-            + "\n  ]\n}")
+    sep = head + "[\n"
+    for run, data in _key_runs(obj):
+        # the slots of each key are its degree, then e1..en; the degree
+        # slot of key t + 1 takes the coefficient of key t, the last
+        # coefficient goes at the end and the first degree is dropped
+        values = list(struct.unpack(">%dH" % (len(data) // 2), data))
+        coeffs = list(map(obj._terms.__getitem__, run))
+        values[n + 1::n + 1] = coeffs[:-1]
+        values.append(coeffs[-1])
+        del values[0]
+        yield sep
+        yield ",\n".join([template] * len(run)) % tuple(values)
+        sep = ",\n"
+    yield "\n  ]\n}"
+
+
+def to_json_text(obj):
+    """Exactly ``json.dumps(to_json_dict(obj), indent=2)``, joined from
+    iter_json_text: no dicts are built and json is not involved."""
+    return "".join(iter_json_text(obj))
 
 
 def from_json_dict(data):

@@ -1,6 +1,7 @@
 """Shared test utilities: random tree shapes, random path multisets,
 brute-force decomposition search and the symmetric-recursion pieces built
-from their definitions, used as independent cross-checks."""
+from their definitions, used as independent cross-checks, and a short
+report of where two long texts differ."""
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -8,6 +9,18 @@ from itertools import combinations, combinations_with_replacement
 from grasshilb import PathMultiset, Tree, caterpillar, parse_tree
 from grasshilb.polyring import (IntPolynomial, complete_homogeneous,
                                 elementary_symmetric)
+
+
+def first_difference(got, expected):
+    """None when the texts are equal, else the first differing offset with
+    some context; pytest's own diff of two long texts can take minutes."""
+    if got == expected:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+              min(len(got), len(expected)))
+    window = slice(max(0, at - 40), at + 40)
+    return "offset %d of %d/%d: %r vs %r" % (
+        at, len(got), len(expected), got[window], expected[window])
 
 
 def random_tree_text(n_leaves, rng):

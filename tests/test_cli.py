@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import grasshilb
-from grasshilb import hilbert, semigroup
+from grasshilb import hilbert, polyring, semigroup
 from grasshilb.cli import main
 from grasshilb.polyring import from_json_dict, to_json_dict
 from grasshilb.hilbert import (numerator_symmetric_recursion,
                                series_by_recursion, series_from_numerator)
+
+from helpers import first_difference
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +185,16 @@ def test_polynomial_json_is_json_dumps_text(capsys, argv, build):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(to_json_dict(build()), indent=2) + "\n"
+
+
+def test_series_json_over_several_chunks(capsys):
+    series = series_by_recursion(6, 10)
+    assert len(series.terms) > polyring._CHUNK
+    code, out, _ = run_cli(capsys, "series", "--n", "6", "--max-degree", "10",
+                           "--format", "json")
+    assert code == 0
+    assert first_difference(
+        out, json.dumps(to_json_dict(series), indent=2) + "\n") is None
 
 
 def test_decompose_member(capsys):

@@ -13,6 +13,7 @@ from grasshilb.hilbert import (
     CapacityError,
     _coefficient_polynomials,
     _next_series,
+    _oracle_check,
     _pool_size,
     cross_validate,
     embracing_configurations,
@@ -34,6 +35,7 @@ from grasshilb.polyring import (
     permute_variables,
     truncate,
 )
+from grasshilb import semigroup
 from grasshilb.semigroup import count_gradation, enumerate_gradation_elements
 from grasshilb.trees import (Tree, caterpillar, classify_intersection,
                              parse_tree)
@@ -377,6 +379,22 @@ def test_pool_size_never_exceeds_cpu_count():
     assert _pool_size(3, 2) == 2
     assert _pool_size(10 ** 6, 2) == 2
     assert _pool_size(4, None) == 1
+
+
+@pytest.mark.parametrize("grading, detail", [
+    ((1, 0, 0, 0), "first difference at [1, 0, 0, 0]: series 0 vs oracle 1"),
+    ((1, 1, 0, 0), "first difference at [1, 1, 0, 0]: series 1 vs oracle 2"),
+])
+def test_oracle_check_names_the_first_difference(monkeypatch, grading,
+                                                 detail):
+    real = semigroup.count_gradation
+
+    def off_by_one(n, lam):
+        return real(n, lam) + (tuple(lam) == grading)
+
+    monkeypatch.setattr(semigroup, "count_gradation", off_by_one)
+    check = _oracle_check(series_by_recursion(4, 6), 1)
+    assert (check.status, check.detail) == ("fail", detail)
 
 
 def test_cross_validate_detects_corruption(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -18,6 +19,7 @@ from grasshilb.polyring import (
     from_json_dict,
     geometric_expand,
     iter_exponents,
+    iter_json_text,
     multiply_by_geometric_series,
     permute_variables,
     to_json_dict,
@@ -25,6 +27,9 @@ from grasshilb.polyring import (
     truncate,
 )
 from grasshilb import polyring
+from grasshilb.hilbert import series_by_recursion
+
+from helpers import first_difference
 
 
 def random_poly(rng, num_vars, max_terms=6, max_exp=3, max_coeff=9):
@@ -428,6 +433,59 @@ def test_json_text_matches_json_dumps_random():
         if rng.random() < 0.5:
             p = truncate(p, rng.randint(0, 6))
         assert to_json_text(p) == json.dumps(to_json_dict(p), indent=2)
+
+
+CHUNK = polyring._CHUNK
+WIDE = (255, 256, 257, 511)  # slots whose low byte alone would read wrong
+
+
+def chunk_edge_poly(num_terms, cap):
+    """`num_terms` terms in 3 variables, exponents 0..15 and WIDE, signed
+    coefficients up to past 64 bits; a series when `cap` is not None."""
+    rng = random.Random(num_terms)
+    exps = list(product(list(range(16)) + list(WIDE), repeat=3))
+    rng.shuffle(exps)
+    terms = {e: rng.choice((-1, 1)) * rng.choice((1, 2, 999, BIG, BIG * BIG))
+             for e in exps[:num_terms]}
+    if cap is None:
+        return IntPolynomial(3, terms)
+    return TruncatedSeries(3, cap, terms)
+
+
+EDGE_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+
+
+@pytest.mark.parametrize("obj", [
+    chunk_edge_poly(count, cap) for count in EDGE_COUNTS for cap in (None, 1533)
+] + [
+    IntPolynomial(0, {}),
+    IntPolynomial(0, {(): -BIG}),
+    TruncatedSeries(0, 0, {(): 1}),
+    TruncatedSeries(0, 5, {}),
+], ids=["%d-terms-%s" % (count, cap) for count in EDGE_COUNTS
+        for cap in ("null", "cap")]
+   + ["0-vars-zero", "0-vars-negative", "0-vars-cap-0", "0-vars-zero-series"])
+def test_writers_match_their_references_across_chunk_edges(obj):
+    terms = obj.terms
+    assert first_difference(to_json_text(obj),
+                            json.dumps(to_json_dict(obj), indent=2)) is None
+    assert [tuple(t["e"]) for t in to_json_dict(obj)["terms"]] == \
+        canonical_sort(terms)
+    assert first_difference(format_terms(obj), reference_text(terms)) is None
+
+
+def test_json_text_is_written_in_bounded_pieces():
+    series = series_by_recursion(10, 8)  # 27,226 terms, 4.3 MB of JSON
+    written = 0
+    tracemalloc.start()
+    try:
+        for piece in iter_json_text(series):
+            written += len(piece)  # a sink that keeps nothing
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == len(to_json_text(series))
+    assert peak < written // 2
 
 
 @pytest.mark.parametrize("exps, coeff, error", [
