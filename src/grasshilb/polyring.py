@@ -555,24 +555,36 @@ def _key_runs(obj):
         yield run, b"".join([k.to_bytes(size, "big") for k in run])
 
 
-def _format_monomial(exps, coeff):
-    factors = [str(abs(coeff))] if abs(coeff) != 1 or not any(exps) else []
-    factors += ["z%d" % (idx + 1) if e == 1 else "z%d^%d" % (idx + 1, e)
-                for idx, e in enumerate(exps) if e]
-    return "*".join(factors)
+class _Powers(dict):
+    """The factor strings of one variable by exponent, "z3" or "z3^e",
+    each formatted on first use."""
+
+    def __init__(self, index):
+        super().__init__({1: "z%d" % index})
+        self.name = "z%d" % index
+
+    def __missing__(self, e):
+        text = self[e] = "%s^%d" % (self.name, e)
+        return text
 
 
 def iter_text(obj):
-    """The text of format_terms in pieces of at most _CHUNK terms."""
+    """The text of format_terms in pieces of at most _CHUNK terms.  The
+    factor strings are cached for this call only."""
     if not obj._terms:
         yield "0"
         return
     iter_unpack = _layout(obj.num_vars).iter_unpack
+    powers = [_Powers(i) for i in range(1, obj.num_vars + 1)]
     sep = ""
     for run, data in _key_runs(obj):
-        parts = [("+ " if c > 0 else "- ") + _format_monomial(slots[1:], c)
-                 for slots, c in zip(iter_unpack(data),
-                                     map(obj._terms.__getitem__, run))]
+        parts = []
+        for slots, c in zip(iter_unpack(data),
+                            map(obj._terms.__getitem__, run)):
+            mono = "*".join([p[e] for p, e in zip(powers, slots[1:]) if e])
+            if c != 1 and c != -1:
+                mono = "%d*%s" % (abs(c), mono) if mono else "%d" % abs(c)
+            parts.append(("+ " if c > 0 else "- ") + (mono or "1"))
         if not sep:  # the first term: no "+ ", and "-" without the space
             first = parts[0]
             parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]

@@ -1,7 +1,8 @@
 """Shared test utilities: random tree shapes, random path multisets,
-brute-force decomposition search and the symmetric-recursion pieces built
-from their definitions, used as independent cross-checks, and a short
-report of where two long texts differ."""
+brute-force decomposition search, inclusion-exclusion subset by subset
+and the symmetric-recursion pieces built from their definitions, used as
+independent cross-checks, and a short report of where two long texts
+differ."""
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -130,6 +131,34 @@ def reference_peel_order(edges, leaf_vertices):
         inner[parent] = leaves_at(parent)
         steps.append((l1, l2, edge))
     return steps
+
+
+def reference_inclusion_exclusion(n, exc):
+    """The numerator of numerator_inclusion_exclusion as its definition
+    writes it: over every subset S of the configurations `exc`, (-1)^|S|
+    times the product of z_i z_j over the distinct pairs appearing in S.
+    The pairs of S, a mask over all pairs, are those of S less its lowest
+    configuration, read from the table, and of that configuration."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    config_bits = [sum(1 << pairs.index(p) for p in cfg) for cfg in exc]
+    union = [0] * (1 << len(exc))
+    by_union = {}
+    for subset in range(len(union)):
+        if subset:
+            low = subset & -subset
+            union[subset] = (union[subset ^ low]
+                             | config_bits[low.bit_length() - 1])
+        sign = -1 if bin(subset).count("1") & 1 else 1
+        by_union[union[subset]] = by_union.get(union[subset], 0) + sign
+    terms = {}
+    for u, c in by_union.items():
+        exps = [0] * n
+        for b, (i, j) in enumerate(pairs):
+            if u >> b & 1:
+                exps[i - 1] += 1
+                exps[j - 1] += 1
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
+    return IntPolynomial(n, terms)
 
 
 @cache

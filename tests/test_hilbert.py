@@ -41,7 +41,7 @@ from grasshilb.trees import (Tree, caterpillar, classify_intersection,
                              parse_tree)
 
 from helpers import (random_tree, reference_coefficient_polynomial,
-                     reference_hook_sum)
+                     reference_hook_sum, reference_inclusion_exclusion)
 
 
 def test_series_base_case():
@@ -172,6 +172,18 @@ def test_numerator_ie_golden():
         assert result == golden_numerator(n)
     assert format_terms(numerator_inclusion_exclusion(4)) == \
         "1 - z1*z2*z3*z4"
+
+
+def test_numerator_ie_matches_the_subset_walk():
+    for n in range(7):
+        assert numerator_inclusion_exclusion(n) == \
+            reference_inclusion_exclusion(n, embracing_configurations(n))
+    rng = random.Random(419)
+    for _ in range(60):
+        t = random_tree(rng.randint(4, 6), rng)
+        assert numerator_inclusion_exclusion(t.n_leaves, tree=t) == \
+            reference_inclusion_exclusion(t.n_leaves,
+                                          excluded_configurations(t))
 
 
 def test_numerator_ie_general_tree_equals_caterpillar():
