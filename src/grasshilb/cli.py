@@ -16,6 +16,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 a skip, not a failure), 2 usage or parse error, 3 capacity exceeded,
 4 internal error (the traceback goes to stderr).
 Output is deterministic byte-for-byte, including under --jobs.
+`main` parses with the one parser `build_parser` returns, built on the
+first call and reused by every later call in the process.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import delpezzo, fixtures, hilbert, semigroup, trees
 from . import polyring
@@ -218,7 +221,11 @@ def _degree_cap(raw):
     return value
 
 
+@cache
 def build_parser():
+    """The argument parser of the `grasshilb` command, built on the first
+    call.  Every later call returns the same parser, the one `main`
+    shares across its calls in the process; callers must not mutate it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default="text",
                         help="output format (default: text)")

@@ -37,11 +37,11 @@ from .polyring import (CapacityError, IntPolynomial, all_pairs,
                        multiply_by_geometric_series, permute_variables)
 
 #: Largest excluded-configuration set inclusion-exclusion will expand:
-#: C(n, 4) <= 20, so n <= 6.  The union DP builds F_6 from 233 unions in
-#: about a millisecond.  The limit still refuses n = 7: allowing it
-#: changes what `verify cross --n 7` and `numerator --n 7 --method ie`
-#: print, and wants a guard sized on the number of distinct pairs.
-EXC_LIMIT = 20
+#: C(n, 4) <= 35, so n <= 7.  The union DP builds F_7 from 8,557 live
+#: unions in about 0.05 s; n = 8 (70 configurations) keeps about 662,000
+#: live unions, about 5 s and 180 MiB on a shared 2-vCPU machine, so it
+#: is refused.
+EXC_LIMIT = 35
 
 #: Largest n the symmetric recursion will run: F_n has about 24 times
 #: the terms of F_{n-1}, and F_9 has 1,109,314 (about 4.2 s and 233 MiB on
@@ -167,7 +167,8 @@ def numerator_inclusion_exclusion(n, tree=None):
     to the subsets maps each union u to u | (its two pairs) with the sign
     flipped, and unions whose coefficient cancels to 0 are dropped.  The
     cost is one step per configuration over the live unions, 233 of them
-    at n = 6 (8,557 at n = 7), not one per subset.
+    at n = 6 (8,557 at n = 7), not one per subset.  More than EXC_LIMIT
+    configurations (n >= 8) raise CapacityError before any is listed.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

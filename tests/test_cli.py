@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import grasshilb
-from grasshilb import hilbert, polyring, semigroup
+from grasshilb import cli, hilbert, polyring, semigroup
 from grasshilb.cli import main
 from grasshilb.polyring import from_json_dict, to_json_dict
 from grasshilb.hilbert import (numerator_symmetric_recursion,
@@ -72,7 +72,7 @@ def test_numerator_tree_flag(capsys):
 
 
 def test_numerator_capacity_exit_code(capsys):
-    code, out, err = run_cli(capsys, "numerator", "--n", "7", "--method", "ie")
+    code, out, err = run_cli(capsys, "numerator", "--n", "8", "--method", "ie")
     assert code == 3
     assert out == ""
     assert "capacity" in err
@@ -288,12 +288,12 @@ def test_verify_cross(capsys):
 
 
 def test_verify_cross_skips_a_route_refused_for_capacity(capsys):
-    code, out, _ = run_cli(capsys, "verify", "cross", "--n", "7",
+    code, out, _ = run_cli(capsys, "verify", "cross", "--n", "8",
                            "--max-degree", "4")
     assert code == 0
     lines = out.splitlines()
-    assert lines[1] == ("recursion-vs-inclusion-exclusion: skip (capacity: 35 "
-                        "excluded configurations exceed the limit 20; use the "
+    assert lines[1] == ("recursion-vs-inclusion-exclusion: skip (capacity: 70 "
+                        "excluded configurations exceed the limit 35; use the "
                         "recursion method)")
     statuses = [line.split(": ")[1].split(" ")[0] for line in lines[1:5]]
     assert statuses == ["skip", "pass", "pass", "pass"]
@@ -343,6 +343,45 @@ def test_byte_identical_repeat_runs(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main shares one parser across calls, so no call's options may carry
+    # into the next: each call parses and prints what a freshly built
+    # parser gives, a usage error in the middle included
+    assert cli.build_parser() is cli.build_parser()
+    grading = "36,36,0,0,0,0,0,0"  # series: C(80, 8) cells; oracle: 1
+    calls = [
+        ["series", "--n", "3", "--max-degree", "4", "--method", "numerator",
+         "--format", "json"],
+        ["series", "--n", "3", "--max-degree", "4"],
+        ["dim", "--n", "8", "--grading", grading, "--method", "series"],
+        ["dim", "--n", "1", "--grading", "1"],
+        ["dim", "--n", "8", "--grading", grading],
+        ["verify", "cross", "--n", "4", "--max-degree", "6", "--jobs", "2"],
+        ["verify", "cross", "--n", "4", "--max-degree", "6"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+                parsed = vars(cli.build_parser().parse_args(argv))
+            except SystemExit as exc:
+                code, parsed = exc.code, None
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err, parsed))
+        return seen
+
+    shared = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes() == shared
+    assert shared[1][:3] == (
+        0, polyring.format_terms(series_by_recursion(3, 4)) + "\n", "")
+    assert [call[0] for call in shared] == [0, 0, 3, 2, 0, 0, 0]
+    assert shared[4][1] == "1\n"
+    assert [call[3]["jobs"] for call in shared[5:]] == [2, 1]
 
 
 def test_usage_error_exit_code():
@@ -395,7 +434,7 @@ def test_console_entry_point():
     assert result.returncode == 0
     assert result.stdout == "2\n"
     result = subprocess.run(
-        [sys.executable, "-m", "grasshilb.cli", "numerator", "--n", "7",
+        [sys.executable, "-m", "grasshilb.cli", "numerator", "--n", "8",
          "--method", "ie"],
         capture_output=True, text=True, env=env)
     assert result.returncode == 3

@@ -200,9 +200,9 @@ def test_numerator_ie_general_tree_equals_caterpillar():
 
 
 def test_numerator_capacity_error():
-    assert len(embracing_configurations(7)) == 35 > EXC_LIMIT
+    assert len(embracing_configurations(8)) == 70 > EXC_LIMIT
     with pytest.raises(CapacityError):
-        numerator_inclusion_exclusion(7)
+        numerator_inclusion_exclusion(8)
     with pytest.raises(CapacityError):
         numerator_symmetric_recursion(SYM_LIMIT + 1)
     report = cross_validate(SYM_LIMIT + 1, 2)
@@ -229,7 +229,7 @@ def test_oversized_sweeps_refused_up_front():
 
 
 def test_numerator_sym_matches_ie():
-    for n in range(2, 7):
+    for n in range(2, 8):
         sym = numerator_symmetric_recursion(n)
         assert sym == numerator_inclusion_exclusion(n)
 
