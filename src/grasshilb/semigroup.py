@@ -18,17 +18,18 @@ that add up to it with no pair strictly embracing another
 each read off how many of every leaf's units are right ends, without any
 tree, and serves as the independent oracle for the series coefficients.
 enumerate_gradation_elements() lists the elements of a gradation on a
-tree by a pair-by-pair walk that skips pairs meeting a chosen one in an
-unordered way.
+tree as the lattice points of its toric fibre: edge values with the
+gradation on the leaves whose three values at every inner vertex have an
+even sum and satisfy the triangle inequalities, walked along the same
+peel order, each decomposed into its canonical multiset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, combinations
 
-from .trees import Tree, classify_intersection
+from .trees import classify_intersection
 
 #: Largest count the CLI's dim walks with count_gradation, whose time is
 #: O(count * n).
@@ -137,18 +138,29 @@ def decompose(tree, values):
     return result
 
 
+def _peel(tree):
+    """Tree.peel_order() in edge indices (0-based, into a value vector):
+    the steps (l1, l2, e1, e2, edge), e1 and e2 the edges l1 and l2 hang
+    from when the cherry is peeled and edge its third one, and the three
+    leaves left with their edges, as sorted (leaf, edge) pairs."""
+    leaf_edge = {i: tree.leaf_edge(i) - 1 for i in range(1, tree.n_leaves + 1)}
+    steps = []
+    for l1, l2, edge in tree.peel_order():
+        steps.append((l1, l2, leaf_edge[l1], leaf_edge.pop(l2), edge - 1))
+        leaf_edge[l1] = edge - 1
+    return steps, sorted(leaf_edge.items())
+
+
 def _decompose(tree, values):
-    n = tree.n_leaves
-    if n == 2:
+    if tree.n_leaves == 2:
         return {(1, 2): values[0]}
     # forward: peel the cherries, the cherry vertex taking l1's place
-    leaf_edge = {i: tree.leaf_edge(i) for i in range(1, n + 1)}
+    steps, base = _peel(tree)
     lifts = []
-    for l1, l2, edge in tree.peel_order():
-        x1 = values[leaf_edge[l1] - 1]
-        x2 = values[leaf_edge.pop(l2) - 1]
-        leaf_edge[l1] = edge
-        twice = x1 + x2 - values[edge - 1]
+    for l1, l2, e1, e2, edge in steps:
+        x1 = values[e1]
+        x2 = values[e2]
+        twice = x1 + x2 - values[edge]
         if twice % 2:
             raise NotInSemigroupError(
                 "cherry (%d, %d): x%d + x%d - x_v = %d is odd"
@@ -167,8 +179,8 @@ def _decompose(tree, values):
         lifts.append((l1, l2, a, y1, y2))
 
     # base: the three remaining leaves
-    p, q, r = sorted(leaf_edge)
-    x = {i: values[leaf_edge[i] - 1] for i in (p, q, r)}
+    x = {i: values[e] for i, e in base}
+    p, q, r = x
     counts = {}
     for a, b, c in ((p, q, r), (p, r, q), (q, r, p)):
         twice = x[a] + x[b] - x[c]
@@ -227,53 +239,6 @@ def _grading(n, lam):
     if min(lam, default=0) < 0 or sum(lam) % 2:
         return None
     return lam
-
-
-def _walk_multisets(n, lam, conflicts, found):
-    """Number of multisets of pairs (i, j), i < j <= n, whose grading sum
-    is lam, built pair by pair in lexicographic order; found(chosen) is
-    called on each.
-
-    The chosen pairs are held in a pair -> multiplicity dict; a pair is
-    added only when conflicts(chosen, pair) is false.
-    """
-    lam = _grading(n, lam)
-    if lam is None:
-        return 0
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    npairs = len(pairs)
-    residual = list(lam)
-    chosen = {}
-
-    def rec(t):
-        for f, v in enumerate(residual, 1):
-            if v:
-                break
-        else:
-            found(chosen)
-            return 1
-        # a pair (f, j) with nothing left at j takes no multiplicity: skip
-        # it here, not by one recursive call each, which n ~ 1000 overflows
-        while t < npairs and (pairs[t][0] < f or pairs[t][0] == f
-                              and not residual[pairs[t][1] - 1]):
-            t += 1
-        if t == npairs or pairs[t][0] > f:
-            return 0
-        pair = i, j = pairs[t]
-        total = rec(t + 1)
-        m_max = min(residual[i - 1], residual[j - 1])
-        if m_max > 0 and not conflicts(chosen, pair):
-            for m in range(1, m_max + 1):
-                residual[i - 1] -= 1
-                residual[j - 1] -= 1
-                chosen[pair] = m
-                total += rec(t + 1)
-            residual[i - 1] += m_max
-            residual[j - 1] += m_max
-            del chosen[pair]
-        return total
-
-    return rec(0)
 
 
 def count_gradation(n, lam):
@@ -346,20 +311,35 @@ def enumerate_gradation_elements(tree, lam):
     """All semigroup elements with the given gradation, each with its
     canonical decomposition, in lexicographic multiset order.
 
-    Walks multisets of leaf pairs summand by summand, discarding any
-    branch whose chosen pairs intersect in an unordered way on the tree.
+    Walks the toric fibre along the peel order with an explicit stack:
+    a cherry whose edges carry x1 and x2 gives its third edge each value
+    from |x1 - x2| to x1 + x2 of their parity, and the three leaves left
+    must have an even sum and satisfy the triangle inequalities.
     """
-    @cache
-    def unordered(pa, pb):
-        return classify_intersection(tree, pa, pb).kind == "unordered"
-
-    def collect(chosen):
-        multiset = PathMultiset.from_dict(chosen)
-        found.append(SemigroupElement(multiset.edge_vector(tree), multiset))
-
-    found = []
-    _walk_multisets(tree.n_leaves, lam,
-                    lambda chosen, pair: any(unordered(p, pair) for p in chosen),
-                    collect)
+    lam = _grading(tree.n_leaves, lam)
+    if lam is None:
+        return []
+    if tree.n_leaves == 2:
+        points = [(lam[0],)] if lam[0] == lam[1] else []
+    else:
+        points = []
+        steps, base = _peel(tree)
+        values = [0] * tree.edge_count
+        for i, v in enumerate(lam, start=1):
+            values[tree.leaf_edge(i) - 1] = v
+        stack = [(0, None)]  # (next step, value of the previous step's edge)
+        while stack:
+            k, v = stack.pop()
+            if k:
+                values[steps[k - 1][4]] = v
+            if k < len(steps):
+                x1, x2 = values[steps[k][2]], values[steps[k][3]]
+                stack.extend((k + 1, w)
+                             for w in range(abs(x1 - x2), x1 + x2 + 1, 2))
+                continue
+            x, y, z = (values[e] for _, e in base)
+            if (x + y + z) % 2 == 0 and abs(x - y) <= z <= x + y:
+                points.append(tuple(values))
+    found = [SemigroupElement(p, decompose(tree, p)) for p in points]
     found.sort(key=lambda el: el.decomposition.counts)
     return found

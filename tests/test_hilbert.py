@@ -1,6 +1,7 @@
 """Series and numerator computations, four-way cross-validation."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -290,6 +291,40 @@ def test_f8_restricts_to_f7():
     f8 = numerator_symmetric_recursion(8)
     restricted = {k >> 16: c for k, c in f8._terms.items() if not k & 0xFFFF}
     assert restricted == numerator_symmetric_recursion(7)._terms
+
+
+def test_series_total_degree_marginal():
+    # summed over the gradings of total degree 2d, W_n gives the Hilbert
+    # function of G(2, n) in its Pluecker embedding,
+    # C(n+d-1, d) C(n+d-2, d)/(d+1), and every odd total degree gives 0
+    for n, cap in [*((n, 10) for n in range(2, 8)), (8, 8)]:
+        by_degree = [0] * (cap + 1)
+        for e, c in series_by_recursion(n, cap).terms.items():
+            by_degree[sum(e)] += c
+        want = [0 if t % 2 else
+                comb(n + t // 2 - 1, t // 2) * comb(n + t // 2 - 2, t // 2)
+                // (t // 2 + 1) for t in range(cap + 1)]
+        assert by_degree == want, n
+
+
+def test_numerator_on_the_diagonal_is_narayana():
+    # F_n(t, ..., t) = Nar_{n-2}(t^2) (1 - t^2)^(C(n,2) - 2n + 3): the cone
+    # over G(2, n) has dimension 2n - 3 and the Narayana numbers
+    # N(m, k) = C(m, k) C(m, k-1)/m as its h-vector, Nar_0 = 1
+    points = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2))
+    for n in range(2, 9):
+        f = (numerator_inclusion_exclusion(n) if n <= 7
+             else numerator_symmetric_recursion(n))
+        by_degree = {}
+        for e, c in f.terms.items():
+            by_degree[sum(e)] = by_degree.get(sum(e), 0) + c
+        m = n - 2
+        for t in points:
+            x = t * t
+            nar = sum(comb(m, k) * comb(m, k - 1) // m * x ** (k - 1)
+                      for k in range(1, m + 1)) if m else 1
+            assert sum(c * t ** d for d, c in by_degree.items()) == \
+                nar * (1 - x) ** (comb(n, 2) - 2 * n + 3), (n, t)
 
 
 def test_series_from_numerator_matches_recursion():

@@ -14,14 +14,13 @@ from grasshilb.semigroup import (
     NotInSemigroupError,
     PathMultiset,
     _two_row_count,
-    _walk_multisets,
     count_gradation,
     decompose,
     enumerate_gradation_elements,
     gradation,
     is_member,
 )
-from grasshilb.trees import caterpillar, classify_intersection
+from grasshilb.trees import Tree, caterpillar
 
 from helpers import (
     all_multisets,
@@ -236,14 +235,44 @@ def test_count_gradation_frozen():
         count_gradation(4, [1, 1, 0])
 
 
-def embraces(chosen, pair):
-    i, j = pair
-    return any(a < i and j < b or i < a and b < j for a, b in chosen)
-
-
 def pair_walk_count(n, lam):
-    # the pair-by-pair walk, with the embrace test as its conflict
-    return _walk_multisets(n, lam, embraces, lambda chosen: None)
+    """Multisets of pairs (i, j), i < j <= n, with grading sum lam and no
+    pair embracing another, built pair by pair in lexicographic order: a
+    reference for count_gradation that tests each pair against the ones
+    chosen before it."""
+    if min(lam, default=0) < 0 or sum(lam) % 2:
+        return 0
+    pairs = list(combinations(range(1, n + 1), 2))
+    residual = list(lam)
+    chosen = []
+
+    def rec(t):
+        f = next((f for f, v in enumerate(residual, 1) if v), None)
+        if f is None:
+            return 1
+        # pairs before leaf f's first, or ending at a used-up leaf, take
+        # no multiplicity: skip them here, not by one recursive call each
+        while t < len(pairs) and (pairs[t][0] < f or pairs[t][0] == f
+                                  and not residual[pairs[t][1] - 1]):
+            t += 1
+        if t == len(pairs) or pairs[t][0] > f:
+            return 0
+        i, j = pairs[t]
+        total = rec(t + 1)
+        m_max = min(residual[i - 1], residual[j - 1])
+        if any(a < i and j < b or i < a and b < j for a, b in chosen):
+            return total
+        chosen.append((i, j))
+        for _ in range(m_max):
+            residual[i - 1] -= 1
+            residual[j - 1] -= 1
+            total += rec(t + 1)
+        residual[i - 1] += m_max
+        residual[j - 1] += m_max
+        chosen.pop()
+        return total
+
+    return rec(0)
 
 
 def test_count_gradation_matches_pair_walk():
@@ -307,16 +336,37 @@ def test_enumerate_single_path_gradation():
         els = enumerate_gradation_elements(t, lam)
         assert len(els) == 1
         assert els[0].decomposition.as_dict() == {(i, j): 1}
+    # 1,097 peel steps: the fibre walk must not recurse once per step
+    els = enumerate_gradation_elements(caterpillar(1100), [1] + [0] * 1098 + [1])
+    assert [e.decomposition.as_dict() for e in els] == [{(1, 1100): 1}]
 
 
 def test_enumerate_on_general_tree_matches_count():
+    # parsed random trees, and the same shapes with their leaves relabelled
+    # wherever that numbering still peels
     rng = random.Random(308)
+    trees = []
     for _ in range(15):
         n = rng.randint(4, 6)
         t = random_tree(n, rng)
-        lam = [rng.randint(0, 2) for _ in range(n)]
+        leaves = list(t.leaf_vertices)
+        rng.shuffle(leaves)
+        trees.append(t)
+        try:
+            trees.append(Tree(n, t.edges, leaves))
+        except ValueError:
+            pass
+    assert len(trees) > 20
+    for t in trees:
+        n = t.n_leaves
+        lam = tuple(rng.randint(0, 2) for _ in range(n))
         els = enumerate_gradation_elements(t, lam)
         assert len(els) == count_gradation(n, lam)
+        assert len({e.values for e in els}) == len(els)
+        for e in els:
+            assert gradation(t, e.values) == lam
+            assert e.decomposition.is_canonical(t)
+            assert decompose(t, e.values) == e.decomposition
 
 
 def test_count_gradation_equals_filtered_brute_force():
