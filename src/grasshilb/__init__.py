@@ -33,8 +33,6 @@ from .polyring import (
     IntPolynomial,
     PrecisionError,
     TruncatedSeries,
-    complete_homogeneous,
-    elementary_symmetric,
     format_terms,
     geometric_expand,
     permute_variables,
@@ -80,12 +78,10 @@ __all__ = [
     "base_change",
     "caterpillar",
     "classify_intersection",
-    "complete_homogeneous",
     "count_gradation",
     "cross_validate",
     "decompose",
     "divisor_family",
-    "elementary_symmetric",
     "embracing_configurations",
     "enumerate_gradation_elements",
     "euler_characteristic",

@@ -48,6 +48,11 @@ EXC_LIMIT = 35
 #: a shared 2-vCPU machine, Python 3.11).
 SYM_LIMIT = 9
 
+#: Most key slots the recursion may read: step m reads the up to
+#: C(cap + m, m) keys of W_m, m + 1 slots each.  At the limit a run takes
+#: up to about 17 s and 600 MiB ((29, 6), shared 2-vCPU machine).
+RECURSION_LIMIT = 1 << 28
+
 #: Seeded variable permutations the invariance check of cross_validate tries.
 _PERMUTATIONS = 5
 _PERMUTATION_SEED = 271828
@@ -92,11 +97,21 @@ def series_by_recursion(n, max_total_degree):
     + ... + c_{a+b}: c_i z_m^{i-l} z_{m+1}^l (z_m z_{m+1})^q lands there
     only for q = (a+b-i)/2, l = (i+b-a)/2, and q >= 0, 0 <= l <= i hold
     exactly for those i.  So each i gives one (l, q), and a coefficient
-    is one difference of parity prefix sums: no cell is swept."""
+    is one difference of parity prefix sums: no cell is swept.  A request
+    past SWEEP_LIMIT cells or RECURSION_LIMIT key slots read is refused
+    up front with CapacityError."""
     if n < 2:
         raise ValueError("need n >= 2")
     cap = max_total_degree
     polyring._check_sweep(n, cap)  # C(cap + n, n) bounds the output
+    cells, slots = cap + 1, 0  # cells = C(cap + m, m), from m = 1
+    for m in range(2, n + 1):
+        cells = cells * (cap + m) // m
+        slots += cells * (m + 1)
+        if slots > RECURSION_LIMIT:
+            raise CapacityError(
+                "the recursion to %d variables through degree %d reads "
+                "more than %d key slots" % (n, cap, RECURSION_LIMIT))
     terms = geometric_expand([(1, 2)], 2, cap)._terms
     for num_vars in range(2, n):
         terms = _next_series(terms, num_vars, cap)

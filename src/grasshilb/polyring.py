@@ -34,7 +34,6 @@ import struct
 from array import array
 from bisect import bisect_left
 from functools import cache
-from itertools import combinations, combinations_with_replacement
 from math import comb
 
 
@@ -333,11 +332,11 @@ def _truncated(terms, num_vars, cap):
     return {k: c for k, c in terms.items() if k < limit}
 
 
-def _add_product(out, terms_a, terms_b, num_vars, cap, scale=1):
-    """Add scale * a * b through total degree `cap` (None: exact) into the
-    packed term dict `out`, keeping cancelled sums as zeros for the caller
-    to drop once.  With a cap, terms_b is sorted by key, so for each term
-    of terms_a the inner loop stops before the first product past it."""
+def _add_product(out, terms_a, terms_b, num_vars, cap):
+    """Add a * b through total degree `cap` (None: exact) into the packed
+    term dict `out`, keeping cancelled sums as zeros for the caller to
+    drop once.  With a cap, terms_b is sorted by key, so for each term of
+    terms_a the inner loop stops before the first product past it."""
     if not terms_a or not terms_b:
         return out
     if len(terms_a) > len(terms_b):
@@ -353,7 +352,6 @@ def _add_product(out, terms_a, terms_b, num_vars, cap, scale=1):
         keys_b = [kb for kb, _ in items_b]
     get = out.get
     for ka, ca in terms_a.items():
-        ca *= scale
         for kb, cb in (items_b if keys_b is None
                        else items_b[:bisect_left(keys_b, limit - ka)]):
             key = ka + kb
@@ -463,30 +461,6 @@ def multiply_by_geometric_series(series, *pairs):
                              series.max_total_degree)
     return IntPolynomial._trusted(series.num_vars, terms,
                                   series.max_total_degree)
-
-
-def _sum_of_choices(num_vars, degree, choose):
-    """Sum of z_k1 * ... * z_kd over the index tuples that
-    choose(range(num_vars), degree) yields; 0 when degree < 0."""
-    if degree < 0:
-        return IntPolynomial.zero(num_vars)
-    _check_sizes(num_vars)
-    _check_degree(degree, "degree")
-    keys = [_monomial_key(num_vars, k) for k in range(1, num_vars + 1)]
-    return IntPolynomial._trusted(
-        num_vars, {sum(choice): 1 for choice in choose(keys, degree)})
-
-
-def elementary_symmetric(num_vars, degree):
-    """The elementary symmetric polynomial sigma_degree in num_vars
-    variables; 1 when degree == 0, 0 when degree < 0 or degree > num_vars."""
-    return _sum_of_choices(num_vars, degree, combinations)
-
-
-def complete_homogeneous(num_vars, degree):
-    """The complete homogeneous symmetric polynomial h_degree in num_vars
-    variables; 1 when degree == 0, 0 when degree < 0."""
-    return _sum_of_choices(num_vars, degree, combinations_with_replacement)
 
 
 def permute_variables(obj, perm):
@@ -614,8 +588,8 @@ def to_json_dict(obj):
 
 
 def iter_json_text(obj):
-    """The text of to_json_text in pieces, one per _CHUNK terms, each
-    rendered by one %-format of a repeated per-term template."""
+    """``json.dumps(to_json_dict(obj), indent=2)`` in pieces, one per
+    _CHUNK terms, each one %-format of a repeated per-term template."""
     n = obj.num_vars
     cap = obj.max_total_degree
     head = ('{\n  "num_vars": %d,\n  "max_total_degree": %s,\n  "terms": '
@@ -639,12 +613,6 @@ def iter_json_text(obj):
         yield ",\n".join([template] * len(run)) % tuple(values)
         sep = ",\n"
     yield "\n  ]\n}"
-
-
-def to_json_text(obj):
-    """Exactly ``json.dumps(to_json_dict(obj), indent=2)``, joined from
-    iter_json_text: no dicts are built and json is not involved."""
-    return "".join(iter_json_text(obj))
 
 
 def from_json_dict(data):

@@ -232,11 +232,14 @@ def gradation(tree, values):
 
 def _grading(n, lam):
     """lam as a tuple of n entries, or None when it grades nothing (a
-    negative entry or an odd total)."""
+    negative entry or an odd total); a non-int total raises TypeError."""
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
-    if min(lam, default=0) < 0 or sum(lam) % 2:
+    total = sum(lam)
+    if not isinstance(total, int):
+        raise TypeError("grading %r has a non-int entry" % (lam,))
+    if min(lam, default=0) < 0 or total % 2:
         return None
     return lam
 

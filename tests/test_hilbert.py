@@ -229,6 +229,18 @@ def test_oversized_sweeps_refused_up_front():
     assert polyring.SWEEP_LIMIT > 118_755
 
 
+def test_recursion_slot_guard_keeps_the_runs_it_should(monkeypatch):
+    # the guard alone: each step is stubbed, so nothing large is built;
+    # test_cli holds the refusals that used to run for minutes
+    from grasshilb import hilbert
+
+    monkeypatch.setattr(hilbert, "_next_series", lambda terms, m, cap: terms)
+    for n, cap in [(12, 10), (10, 14), (40, 4), (213, 2)]:
+        series_by_recursion(n, cap)
+    with pytest.raises(CapacityError, match="key slots"):
+        series_by_recursion(214, 2)
+
+
 def test_numerator_sym_matches_ie():
     for n in range(2, 8):
         sym = numerator_symmetric_recursion(n)

@@ -89,6 +89,12 @@ def test_non_int_inputs_are_refused():
         PathMultiset.from_dict({(1, 2): 0.0})
     with pytest.raises(TypeError):
         PathMultiset.from_json_dict({"pairs": [{"i": 1, "j": 2, "mult": 1.5}]})
+    # gradings: a float entry is refused, not counted as 0 or 1
+    for lam in [(1.5, 0.5), (2.0, 2.0)]:
+        with pytest.raises(TypeError, match="non-int entry"):
+            count_gradation(2, lam)
+    with pytest.raises(TypeError, match="non-int entry"):
+        enumerate_gradation_elements(t, (1.0, 0.0, 0.0))
 
 
 def test_decompose_self_check_survives_optimize():
