@@ -44,7 +44,7 @@ from .polyring import (CapacityError, IntPolynomial, all_pairs,
 EXC_LIMIT = 35
 
 #: Largest n the symmetric recursion will run: F_n has about 24 times
-#: the terms of F_{n-1}, and F_9 has 1,109,314 (about 4.2 s and 233 MiB on
+#: the terms of F_{n-1}, and F_9 has 1,109,314 (about 4 s and 233 MiB on
 #: a shared 2-vCPU machine, Python 3.11).
 SYM_LIMIT = 9
 
@@ -104,14 +104,12 @@ def series_by_recursion(n, max_total_degree):
         raise ValueError("need n >= 2")
     cap = max_total_degree
     polyring._check_sweep(n, cap)  # C(cap + n, n) bounds the output
-    cells, slots = cap + 1, 0  # cells = C(cap + m, m), from m = 1
-    for m in range(2, n + 1):
-        cells = cells * (cap + m) // m
-        slots += cells * (m + 1)
-        if slots > RECURSION_LIMIT:
-            raise CapacityError(
-                "the recursion to %d variables through degree %d reads "
-                "more than %d key slots" % (n, cap, RECURSION_LIMIT))
+    slots = ((cap + 1) * comb(cap + n + 1, n - 1) + comb(cap + n + 1, n)
+             - 2 * cap - 3)  # sum_{m=2}^{n} (m+1) C(cap+m, m), hockey stick
+    if slots > RECURSION_LIMIT:
+        raise CapacityError(
+            "the recursion to %d variables through degree %d reads "
+            "more than %d key slots" % (n, cap, RECURSION_LIMIT))
     terms = geometric_expand([(1, 2)], 2, cap)._terms
     for num_vars in range(2, n):
         terms = _next_series(terms, num_vars, cap)
@@ -260,12 +258,18 @@ def numerator_symmetric_recursion(n):
     alpha > v), the coefficient of z_{m-1}^beta z^mu in a(k, l) is
     c = sum_{alpha=0}^{top} (-1)^alpha T_alpha, where
     T_alpha = (-1)^beta sum_j C(q, j) C(p-q, alpha-j) C(p-j-1, beta) when
-    k - alpha >= 1 and T_alpha = [alpha = k + beta = p = q] otherwise.  It
-    depends on mu only through (p, q), so each stage groups the monomials
-    of a degree by (p, q) once and writes c onto every key of a group: no
-    polynomial products build a(k, l), and a degree where every c
-    vanishes is never listed.  z_{m-1}^beta, and z_m^t at the end, are
-    key offsets onto disjoint keys.
+    k - alpha >= 1 and T_alpha = [alpha = k + beta = p = q] otherwise.
+    With last = min(top, p, k-1), swap the sums over alpha <= last and j;
+    as sum_{i<=m} (-1)^i C(N, i) = (-1)^m C(N-1, m), the alpha-sum
+    sum_{alpha=j}^{last} (-1)^alpha C(p-q, alpha-j) is
+    (-1)^last C(p-q-1, last-j) when p > q and (-1)^j when p = q.  Past last
+    only alpha = p survives, when p = q = k + beta <= top (p >= k, beta >= 0).
+    No binomial top is negative (j <= q < p, or p = q and j <= k-1 < p),
+    so c is one sum over j <= min(q, last).  It depends on mu only through
+    (p, q): each stage groups the monomials of a degree by (p, q) once and
+    writes c onto every key of a group, no polynomial products build
+    a(k, l), and a degree where every c vanishes is never listed.  Powers
+    of z_{m-1} and z_m are key offsets onto disjoint keys.
 
     Coefficient vectors carry n+1 slots; the three slots past the end are
     checked to vanish so silent truncation cannot go unnoticed.  n past
@@ -358,18 +362,13 @@ def _monomials_by_support(var_keys, degree):
 
 
 def _hook_coefficient(k, beta, top, p, q):
-    """c of numerator_symmetric_recursion: the coefficient in a(k, top)
-    of z_{m-1}^beta z^mu, |mu| = k + beta, with p nonzero entries of mu, q
-    of them 1.  No alpha-subset of the support exists past alpha = p."""
-    c = 0
-    for alpha in range(min(top, p) + 1):
-        if k - alpha >= 1:
-            t = (-1) ** beta * sum(
-                comb(q, j) * comb(p - q, alpha - j) * comb(p - j - 1, beta)
-                for j in range(min(q, alpha) + 1))
-        else:
-            t = alpha == k + beta == p == q
-        c += -t if alpha & 1 else t
+    """c of numerator_symmetric_recursion: the coefficient of z_{m-1}^beta
+    z^mu in a(k, top): |mu| = k + beta, p nonzero entries, q of them 1."""
+    c = (-1) ** p if p == q == k + beta <= top else 0
+    last = min(top, p, k - 1)  # the alphas with k - alpha >= 1
+    for j in range(min(q, last) + 1):
+        s = (-1) ** last * comb(p - q - 1, last - j) if p > q else (-1) ** j
+        c += (-1) ** beta * comb(q, j) * comb(p - j - 1, beta) * s
     return c
 
 

@@ -1,12 +1,13 @@
 """Shared test utilities: random tree shapes, random path multisets,
 brute-force decomposition search, inclusion-exclusion subset by subset,
-the elementary and complete homogeneous symmetric polynomials and the
-symmetric-recursion pieces built from their definitions, used as
-independent cross-checks, and a short report of where two long texts
-differ."""
+the elementary and complete homogeneous symmetric polynomials, the
+symmetric-recursion pieces built from their definitions and the hook
+coefficient as a double sum, used as independent cross-checks, and a
+short report of where two long texts differ."""
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from grasshilb import PathMultiset, Tree, caterpillar, parse_tree
 from grasshilb.polyring import IntPolynomial
@@ -223,3 +224,22 @@ def reference_coefficient_polynomial(stage, n, k, l):
         total += IntPolynomial.monomial(n, attach) * IntPolynomial(
             n, {e + (0,) * (n - v): c for e, c in inner.terms.items()})
     return total
+
+
+def reference_hook_coefficient(k, beta, top, p, q):
+    """c of numerator_symmetric_recursion as its docstring defines it,
+    sum_{alpha=0}^{top} (-1)^alpha T_alpha with
+    T_alpha = (-1)^beta sum_j C(q, j) C(p-q, alpha-j) C(p-j-1, beta) when
+    k - alpha >= 1 and T_alpha = [alpha = k + beta = p = q] otherwise: a
+    double sum over alpha and j, stopped at alpha = p, past which no
+    alpha-subset of the support exists."""
+    c = 0
+    for alpha in range(min(top, p) + 1):
+        if k - alpha >= 1:
+            t = (-1) ** beta * sum(
+                comb(q, j) * comb(p - q, alpha - j) * comb(p - j - 1, beta)
+                for j in range(min(q, alpha) + 1))
+        else:
+            t = int(alpha == k + beta == p == q)
+        c += (-1) ** alpha * t
+    return c

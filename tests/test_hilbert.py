@@ -13,6 +13,7 @@ from grasshilb.hilbert import (
     SYM_LIMIT,
     CapacityError,
     _coefficient_polynomials,
+    _hook_coefficient,
     _next_series,
     _oracle_check,
     _pool_size,
@@ -42,7 +43,8 @@ from grasshilb.trees import (Tree, caterpillar, classify_intersection,
                              parse_tree)
 
 from helpers import (random_tree, reference_coefficient_polynomial,
-                     reference_hook_sum, reference_inclusion_exclusion)
+                     reference_hook_coefficient, reference_hook_sum,
+                     reference_inclusion_exclusion)
 
 
 def test_series_base_case():
@@ -232,13 +234,25 @@ def test_oversized_sweeps_refused_up_front():
 def test_recursion_slot_guard_keeps_the_runs_it_should(monkeypatch):
     # the guard alone: each step is stubbed, so nothing large is built;
     # test_cli holds the refusals that used to run for minutes
-    from grasshilb import hilbert
+    from grasshilb import hilbert, polyring
 
     monkeypatch.setattr(hilbert, "_next_series", lambda terms, m, cap: terms)
     for n, cap in [(12, 10), (10, 14), (40, 4), (213, 2)]:
         series_by_recursion(n, cap)
     with pytest.raises(CapacityError, match="key slots"):
         series_by_recursion(214, 2)
+    # the closed-form slot count is the step-by-step sum: a limit of that
+    # sum lets the run through, one less refuses it
+    for n in range(2, 40):
+        for cap in range(30):
+            if comb(cap + n, n) > polyring.SWEEP_LIMIT:
+                continue
+            slots = sum((m + 1) * comb(cap + m, m) for m in range(2, n + 1))
+            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", slots)
+            series_by_recursion(n, cap)
+            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", slots - 1)
+            with pytest.raises(CapacityError, match="key slots"):
+                series_by_recursion(n, cap)
 
 
 def test_numerator_sym_matches_ie():
@@ -295,6 +309,26 @@ def test_coefficient_polynomials_match_their_definition():
                 closed = IntPolynomial._trusted(n, a_terms(k, top))
                 assert closed == reference_coefficient_polynomial(
                     stage, n, k, top - k), (stage, k, top)
+
+
+def test_hook_coefficient_matches_its_double_sum():
+    # every realisable (p, q) with p <= 7 over a box that holds every
+    # argument the recursion passes through F_9: mu of degree k + beta
+    # with p nonzero entries, q of them 1, so p = q = k + beta or
+    # q < p and 2p - q <= k + beta
+    points = 0
+    for k in range(-8, 13):
+        for beta in range(max(0, -k), 7):
+            d = k + beta
+            pqs = [(p, q) for p in range(8) for q in range(p + 1)
+                   if p == q == d or q < p and 2 * p - q <= d]
+            for top in range(8):
+                for p, q in pqs:
+                    got = _hook_coefficient(k, beta, top, p, q)
+                    want = reference_hook_coefficient(k, beta, top, p, q)
+                    assert got == want, (k, beta, top, p, q)
+                    points += 1
+    assert points == 13_000
 
 
 def test_f8_restricts_to_f7():
