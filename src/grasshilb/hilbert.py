@@ -19,7 +19,10 @@ the lam-graded piece of the Grassmannian coordinate ring.  The methods:
 * the count_gradation oracle from the semigroup module.
 
 cross_validate runs all of them against each other coefficient by
-coefficient and reports structured pass/fail/skip results.
+coefficient and reports structured pass/fail/skip results.  It checks
+each numerator in numerator form, against the recursion series times
+prod_{i<j} (1 - z_i z_j), and expands a numerator into its series only
+to name the first difference of a failing check.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from math import comb
 from . import polyring, semigroup, trees
 from .polyring import (CapacityError, IntPolynomial, all_pairs,
                        geometric_expand, iter_exponents,
-                       multiply_by_geometric_series, permute_variables)
+                       multiply_by_geometric_series, multiply_by_pair_factors,
+                       permute_variables)
 
 #: Largest excluded-configuration set inclusion-exclusion will expand:
 #: C(n, 4) <= 35, so n <= 7.  The union DP builds F_7 from 8,557 live
@@ -379,21 +383,28 @@ def _hook_coefficient(k, beta, top, p, q):
 def cross_validate(n, max_total_degree, jobs=1):
     """Check the independent methods against each other through the cap.
 
-    The recursion series is the reference: it is compared with the
-    inclusion-exclusion and symmetric-recursion series and the oracle,
-    and must not move under _PERMUTATIONS seeded variable permutations.
-    A failing check names the first differing grading, never raises; a
-    route refused with CapacityError is a skip, which does not fail.
+    The recursion series R is the reference: the inclusion-exclusion and
+    symmetric-recursion numerators are checked against it, the oracle
+    counts every grading, and R must not move under _PERMUTATIONS seeded
+    variable permutations.  A numerator F is checked in numerator form,
+    truncate(F, cap) against R * P with P = prod_{i<j} (1 - z_i z_j),
+    computed once, the first time a numerator route returns.  That is
+    the series check itself: R agrees with W_n through the cap and P is
+    a polynomial with constant term 1, so R * P agrees with F through the
+    cap if and only if F / P agrees with R.  A failing check names the
+    first differing grading, never raises; a route refused with
+    CapacityError is a skip, which does not fail.
     """
     cap = max_total_degree
     reference = series_by_recursion(n, cap)
+    times_pairs = cache(
+        lambda: multiply_by_pair_factors(reference, *all_pairs(n)))
     checks = [
-        _series_check(
-            "recursion-vs-inclusion-exclusion", reference,
-            lambda: series_from_numerator(numerator_inclusion_exclusion(n), cap)),
-        _series_check(
-            "recursion-vs-symmetric-recursion-conjectural", reference,
-            lambda: series_from_numerator(numerator_symmetric_recursion(n), cap)),
+        _series_check("recursion-vs-inclusion-exclusion", reference,
+                      times_pairs, lambda: numerator_inclusion_exclusion(n)),
+        _series_check("recursion-vs-symmetric-recursion-conjectural",
+                      reference, times_pairs,
+                      lambda: numerator_symmetric_recursion(n)),
         _oracle_check(reference, jobs),
     ]
 
@@ -416,17 +427,30 @@ def cross_validate(n, max_total_degree, jobs=1):
     return CrossReport(n, cap, tuple(checks))
 
 
-def _series_check(name, reference, build):
+def _series_check(name, reference, times_pairs, build):
+    """Check the numerator `build()` against the reference series through
+    numerator form, with times_pairs() the reference times the pair
+    factors.  On a mismatch the numerator's series names the first
+    difference; if that series agrees after all, the pair product and
+    the sweep disagree, and the first numerator difference fails."""
     try:
-        other = build()
+        numerator = build()
     except CapacityError as exc:
         return CheckResult(name, "skip", "capacity: %s" % exc)
-    if other == reference:
+    cap = reference.max_total_degree
+    got, expected = polyring.truncate(numerator, cap), times_pairs()
+    if got == expected:
         return CheckResult(name, "pass",
                            "%d coefficients agree" % len(reference._terms))
-    e = polyring._canonical_terms(reference - other)[0][0]
-    return CheckResult(name, "fail", "first difference at %r: %d vs %d" % (
-        list(e), reference.coefficient(e), other.coefficient(e)))
+    other = series_from_numerator(numerator, cap)
+    if other != reference:
+        got, expected = other, reference
+        what = "first difference at %r: %d vs %d"
+    else:
+        what = "series agree, numerators differ at %r: %d vs %d"
+    e = polyring._canonical_terms(expected - got)[0][0]
+    return CheckResult(name, "fail", what % (
+        list(e), expected.coefficient(e), got.coefficient(e)))
 
 
 def _pool_size(jobs, cpus):

@@ -463,6 +463,30 @@ def multiply_by_geometric_series(series, *pairs):
                                   series.max_total_degree)
 
 
+def multiply_by_pair_factors(series, *pairs):
+    """series * prod (1 - z_i z_j) over the given pairs, exact through the
+    cap of `series`: the inverse of multiply_by_geometric_series, refusing
+    what it refuses.  One pass per pair over the terms, not the cells:
+    each term c z^e of total degree <= cap - 2 subtracts c from
+    z^e z_i z_j, and a sum that cancels is deleted."""
+    num_vars, cap = series.num_vars, series.max_total_degree
+    deltas = [_monomial_key(num_vars, *_validate_pair(p, num_vars))
+              for p in pairs]
+    _check_sweep(num_vars, cap)
+    limit = (cap - 1) << _WIDTH * num_vars
+    out = dict(series._terms)
+    get = out.get
+    for delta in deltas:
+        for key, c in [(k, c) for k, c in out.items() if k < limit]:
+            key += delta
+            c = get(key, 0) - c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return IntPolynomial._trusted(num_vars, out, cap)
+
+
 def permute_variables(obj, perm):
     """Apply a variable permutation: the exponent of z_i moves to z_perm[i].
 

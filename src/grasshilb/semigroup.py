@@ -254,10 +254,12 @@ def count_gradation(n, lam):
     ends still open before leaf k, the b_k are valid exactly when
     0 <= b_k <= min(lam_k, h_k), h_{k+1} = h_k + lam_k - 2 b_k, h_1 = 0 and
     h_{n+1} = 0.  The h from which 0 is still reachable form an interval
-    [lo_k, hi_k], computed backwards: hi_k = hi_{k+1} + lam_k and
+    [lo_k, hi_k], computed in one backward pass: hi_k = hi_{k+1} + lam_k and
     lo_k = max(0, lo_{k+1} - lam_k, lam_k - hi_{k+1}).  The walk keeps each
-    h_{k+1} in its interval, so it has no dead branch: it reaches the last
-    nonzero leaf once per multiset, in time O(count * n).
+    h_{k+1} in its interval, so it has no dead branch.  At the last nonzero
+    leaf lo = hi = lam_last, so an h in the interval of the one before it
+    fixes b at both: the walk reaches that second-to-last nonzero leaf
+    once per multiset, in time O(count * n).
 
     Pure lattice combinatorics, independent of any tree or series; this is
     the oracle the series methods are checked against.
@@ -266,28 +268,30 @@ def count_gradation(n, lam):
     if lam is None:
         return 0
     lam = [v for v in lam if v]  # a zero entry leaves h as it is
-    last = len(lam) - 1
-    if last < 0:
+    if not lam:
         return 1
-    lo = [0] * (last + 2)
-    hi = [0] * (last + 2)
-    for k in range(last, -1, -1):
-        v = lam[k]
-        hi[k] = hi[k + 1] + v
-        lo[k] = max(0, lo[k + 1] - v, v - hi[k + 1])
-    if lo[0]:
+    steps = []  # steps[k] = (lam_k, lo_{k+1}, hi_{k+1}), built backwards
+    lo = hi = 0
+    for v in reversed(lam):
+        steps.append((v, lo, hi))
+        lo, hi = max(0, lo - v, v - hi), hi + v
+    if lo:
         return 0
+    steps.reverse()
+    end = len(lam) - 2  # the second-to-last nonzero leaf
     count = 0
     stack = [(0, 0)]  # (leaf, open left ends before it), h in [lo, hi]
+    push, pop = stack.append, stack.pop
     while stack:
-        k, h = stack.pop()
-        if k == last:  # h in [lo, hi] here leaves one b: b = h = lam[k]
+        k, h = pop()
+        if k == end:  # lo = hi = lam_last next: b is forced twice
             count += 1
             continue
-        top = h + lam[k]  # h_{k+1} with b_k = 0; top - hi[k + 1] is even
-        b_min = max(0, (top - hi[k + 1]) // 2)
-        b_max = min(lam[k], h, (top - lo[k + 1]) // 2)
-        stack.extend([(k + 1, top - 2 * b) for b in range(b_min, b_max + 1)])
+        v, lo, hi = steps[k]
+        top = h + v  # h_{k+1} with b_k = 0; top - hi is even
+        for b in range(max(0, (top - hi) // 2),
+                       min(v, h, (top - lo) // 2) + 1):
+            push((k + 1, top - 2 * b))
     return count
 
 

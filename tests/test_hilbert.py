@@ -34,6 +34,7 @@ from grasshilb.polyring import (
     geometric_expand,
     iter_exponents,
     multiply_by_geometric_series,
+    multiply_by_pair_factors,
     permute_variables,
     truncate,
 )
@@ -381,6 +382,21 @@ def test_series_from_numerator_matches_recursion():
             assert direct == series_from_numerator(numerator, cap), (n, cap)
     via_sym = series_from_numerator(numerator_symmetric_recursion(4), 8)
     assert via_sym == series_by_recursion(4, 8)
+    # n = 7 at cap 10 by both numerators: verify cross sweeps a
+    # numerator only when its check fails
+    direct = series_by_recursion(7, 10)
+    for numerator in (numerator_inclusion_exclusion(7),
+                      numerator_symmetric_recursion(7)):
+        assert series_from_numerator(numerator, 10) == direct
+
+
+def test_reference_times_pair_factors_is_the_numerator():
+    for n in range(2, 8):
+        numerator = numerator_inclusion_exclusion(n)
+        for cap in (0, 1, 2, 7, 10):
+            product = multiply_by_pair_factors(series_by_recursion(n, cap),
+                                               *all_pairs(n))
+            assert product == truncate(numerator, cap), (n, cap)
 
 
 def test_series_from_numerator_accepts_bare_polynomial():
@@ -448,22 +464,40 @@ def test_cross_validate_deterministic_across_jobs():
 
 
 def test_reference_does_not_share_the_pair_sweep(monkeypatch):
+    # the numerator checks compare against the reference times the pair
+    # factors: a wrong product fails both, and the reference itself,
+    # built without that kernel, still passes the oracle
     import grasshilb.hilbert as hilbert_module
 
-    real = hilbert_module.multiply_by_geometric_series
+    real = hilbert_module.multiply_by_pair_factors
 
     def corrupted(series, *pairs):  # adds 1 at z1 z2
         bump = (1, 1) + (0,) * (series.num_vars - 2)
         return real(series, *pairs) + TruncatedSeries(
             series.num_vars, series.max_total_degree, {bump: 1})
 
-    monkeypatch.setattr(hilbert_module, "multiply_by_geometric_series",
+    monkeypatch.setattr(hilbert_module, "multiply_by_pair_factors",
                         corrupted)
     status = {c.name: c.status for c in cross_validate(4, 6).checks}
     assert status == {"recursion-vs-inclusion-exclusion": "fail",
                       "recursion-vs-symmetric-recursion-conjectural": "fail",
                       "oracle-dimensions": "pass",
                       "permutation-invariance": "pass"}
+
+
+def test_numerator_check_fails_when_the_kernels_disagree(monkeypatch):
+    # a product kernel that multiplies by nothing, beside a sound sweep:
+    # the numerator's series equals the reference, yet the check fails
+    import grasshilb.hilbert as hilbert_module
+
+    monkeypatch.setattr(hilbert_module, "multiply_by_pair_factors",
+                        lambda series, *pairs: series)
+    checks = {c.name: c for c in cross_validate(4, 6).checks}
+    detail = "series agree, numerators differ at [1, 1, 0, 0]: 1 vs 0"
+    for name in ("recursion-vs-inclusion-exclusion",
+                 "recursion-vs-symmetric-recursion-conjectural"):
+        assert (checks[name].status, checks[name].detail) == ("fail", detail)
+    assert checks["oracle-dimensions"].status == "pass"
 
 
 def test_pool_size_never_exceeds_cpu_count():

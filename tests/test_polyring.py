@@ -19,6 +19,7 @@ from grasshilb.polyring import (
     iter_exponents,
     iter_json_text,
     multiply_by_geometric_series,
+    multiply_by_pair_factors,
     permute_variables,
     to_json_dict,
     truncate,
@@ -330,6 +331,48 @@ def test_multiply_by_geometric_series_needs_a_cap():
     for pairs in ([(1, 2)], []):
         with pytest.raises(ValueError, match="max_total_degree cap"):
             multiply_by_geometric_series(exact, *pairs)
+
+
+def test_pair_factors_undo_the_geometric_series():
+    rng = random.Random(118)
+    for nv in range(2, 6):
+        for cap in (0, 1, 2, 5, 8):
+            base = TruncatedSeries(nv, cap, {
+                e: rng.randint(-5, 5) for e in iter_exponents(nv, cap)
+                if rng.random() < 0.4})
+            pairs = [rng.choice(all_pairs(nv))
+                     for _ in range(rng.randint(0, 5))]
+            swept = multiply_by_geometric_series(base, *pairs)
+            assert multiply_by_pair_factors(swept, *pairs) == base, (nv, cap)
+            product = multiply_by_pair_factors(base, *pairs)
+            assert product == base * _pair_factors(nv, pairs, cap)
+            assert all(product._terms.values())
+    # (1 - z1 z2) times its own series: every subtracted sum cancels
+    series = geometric_expand([(1, 2)], 3, 6)
+    assert multiply_by_pair_factors(series, (1, 2))._terms == {0: 1}
+
+
+def _pair_factors(nv, pairs, cap):
+    """prod (1 - z_i z_j) over `pairs` by the generic product, as a series
+    through `cap`."""
+    out = TruncatedSeries(nv, cap, {(0,) * nv: 1})
+    for i, j in pairs:
+        pair = tuple(int(k in (i, j)) for k in range(1, nv + 1))
+        out = out * IntPolynomial(nv, {(0,) * nv: 1, pair: -1})
+    return out
+
+
+def test_multiply_by_pair_factors_refuses_what_the_sweep_refuses():
+    exact = IntPolynomial(3, {(1, 0, 0): 1})
+    for pairs in ([(1, 2)], []):
+        with pytest.raises(ValueError, match="max_total_degree cap"):
+            multiply_by_pair_factors(exact, *pairs)
+    series = TruncatedSeries(3, 4, {(1, 0, 0): 1})
+    for pair in ((2, 1), (1, 4), (0, 2), (2, 2)):
+        with pytest.raises(DimensionError):
+            multiply_by_pair_factors(series, (1, 2), pair)
+        with pytest.raises(DimensionError):
+            multiply_by_geometric_series(series, (1, 2), pair)
 
 
 def test_geometric_expand_w4_coefficient():

@@ -292,6 +292,21 @@ def test_count_gradation_matches_pair_walk():
         assert count_gradation(len(lam), lam) == pair_walk_count(len(lam), lam), lam
 
 
+def test_count_gradation_matches_closed_form_at_reach():
+    for lam in ((20,) * 7, (1,) * 22, (10000,) * 4):
+        assert count_gradation(len(lam), lam) == _two_row_count(lam), lam
+    # the walk's time follows the count: draws counting past 20,000 are
+    # passed over, the three gradings above reach further
+    rng = random.Random(220)
+    gradings = []
+    while len(gradings) < 300:
+        lam = tuple(rng.randint(0, 6) for _ in range(rng.randint(8, 14)))
+        if _two_row_count(lam) <= 20000:
+            gradings.append(lam)
+    for lam in gradings:
+        assert count_gradation(len(lam), lam) == _two_row_count(lam), lam
+
+
 def test_count_gradation_has_no_dead_branches():
     # 78,156 multisets, which a walk trying every multiplicity of every
     # pair took about a minute to count
