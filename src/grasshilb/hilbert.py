@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, repeat
+from itertools import combinations, compress, count, repeat
 from math import comb
+from operator import add, sub
 
 from . import polyring, semigroup, trees
 from .polyring import (CapacityError, IntPolynomial, all_pairs,
@@ -52,9 +54,9 @@ EXC_LIMIT = 35
 #: a shared 2-vCPU machine, Python 3.11).
 SYM_LIMIT = 9
 
-#: Most key slots the recursion may read: step m reads the up to
-#: C(cap + m, m) keys of W_m, m + 1 slots each.  At the limit a run takes
-#: up to about 17 s and 600 MiB ((29, 6), shared 2-vCPU machine).
+#: Most key slots the recursion may read, m + 1 per key of W_m: its cells of
+#: even degree (cross_validate counts every cell).  The slowest run admitted,
+#: (30, 6), takes about 3.6-4.4 s and 440 MiB (shared 2-vCPU machine).
 RECURSION_LIMIT = 1 << 28
 
 #: Seeded variable permutations the invariance check of cross_validate tries.
@@ -101,54 +103,91 @@ def series_by_recursion(n, max_total_degree):
     + ... + c_{a+b}: c_i z_m^{i-l} z_{m+1}^l (z_m z_{m+1})^q lands there
     only for q = (a+b-i)/2, l = (i+b-a)/2, and q >= 0, 0 <= l <= i hold
     exactly for those i.  So each i gives one (l, q), and a coefficient
-    is one difference of parity prefix sums: no cell is swept.  A request
-    past SWEEP_LIMIT cells or RECURSION_LIMIT key slots read is refused
-    up front with CapacityError."""
+    is one difference of parity prefix sums: no cell is swept.
+
+    Steps run on blocks: block (D, p) of W_m holds the keys of the rests r
+    of degree D and, per i = p, p + 2, ... <= cap - D, the column of c_i
+    over them; r z_m^a lands in block (D + a, (p + a) & 1) of W_{m+1}, one
+    map of prefix sums per b in the band of live c_i.  Past SWEEP_LIMIT
+    cells or RECURSION_LIMIT slots in even degrees, CapacityError is raised."""
+    cap = max_total_degree
+    _check_request("the recursion", n, cap, range(0, cap + 1, 2))
+    blocks = _blocks(geometric_expand([(1, 2)], 2, cap)._terms, 2, cap)
+    for num_vars in range(2, n):
+        blocks = _split_step(blocks, num_vars, cap)
+    return IntPolynomial._trusted(n, _flatten(blocks, n), cap)
+
+
+def _check_request(what, n, cap, degrees):
+    """Refuse n < 2 and, up front with CapacityError, a request past
+    SWEEP_LIMIT cells or RECURSION_LIMIT key slots in cells of `degrees`."""
     if n < 2:
         raise ValueError("need n >= 2")
-    cap = max_total_degree
     polyring._check_sweep(n, cap)  # C(cap + n, n) bounds the output
-    slots = ((cap + 1) * comb(cap + n + 1, n - 1) + comb(cap + n + 1, n)
-             - 2 * cap - 3)  # sum_{m=2}^{n} (m+1) C(cap+m, m), hockey stick
-    if slots > RECURSION_LIMIT:
+    upto = [(c + 1) * comb(c + n + 1, n - 1) + comb(c + n + 1, n) - 2 * c - 3
+            for c in range(-1, cap + 1)]  # sum_{m=2}^{n} (m+1) C(c+m, m)
+    if sum(upto[d + 1] - upto[d] for d in degrees) > RECURSION_LIMIT:
         raise CapacityError(
-            "the recursion to %d variables through degree %d reads "
-            "more than %d key slots" % (n, cap, RECURSION_LIMIT))
-    terms = geometric_expand([(1, 2)], 2, cap)._terms
-    for num_vars in range(2, n):
-        terms = _next_series(terms, num_vars, cap)
-    return IntPolynomial._trusted(n, terms, cap)
+            "%s to %d variables through degree %d reads more than %d key "
+            "slots" % (what, n, cap, RECURSION_LIMIT))
 
 
-def _next_series(terms, m, cap):
-    """The packed terms of W_{m+1} from those of W_m, m variables.  The
-    slot of z_m is the lowest: a key is r plus i times the key of z_m."""
-    low = (1 << polyring._WIDTH) - 1
-    z_m = polyring._monomial_key(m, m)
-    rows = {}  # r -> [0, 0, c_0, c_1, ...], then prefix sums in place
+def _blocks(terms, m, cap):
+    """Packed terms in m variables as the blocks of series_by_recursion."""
+    low, z_m = (1 << polyring._WIDTH) - 1, polyring._monomial_key(m, m)
+    rows = {}  # (D, p) -> {r: {i: c_i}}
     for k, c in terms.items():
         rest = k - (k & low) * z_m
-        row = rows.get(rest) or rows.setdefault(
-            rest, [0] * (cap - (rest >> polyring._WIDTH * m) + 3))
-        row[(k & low) + 2] = c
-    out = {}
-    for rest, row in rows.items():
-        if len(row) == 3:  # r of degree cap: c_0 passes on as is
-            out[rest << polyring._WIDTH] = row[2]
-            continue
-        for j in range(4, len(row)):
-            row[j] += row[j - 2]
-        live = 0  # bit p set once some c_i with i = p mod 2 is nonzero
-        for s in range(len(row) - 2):  # s = a + b
-            top = row[s + 2]
-            live |= bool(top) << (s & 1)
-            if live >> (s & 1) & 1:
-                key = rest + s * z_m << polyring._WIDTH  # r z_m^s, shifted
-                for b, c in enumerate(row[s::-2]):  # |a - b| = s - 2b
-                    c = top - c
-                    if c:
-                        out[key - b * low] = c
-                        out[key - (s - b) * low] = c
+        rows.setdefault((rest >> polyring._WIDTH * m, k & 1), {}).setdefault(
+            rest, {})[k & low] = c
+    return {(d, p): (list(r), [[row.get(i, 0) for row in r.values()]
+                               for i in range(p, cap - d + 1, 2)])
+            for (d, p), r in rows.items()}
+
+
+def _split_step(blocks, m, cap):
+    """The blocks of W_{m+1} from those of W_m, m variables; empties them."""
+    z_m = polyring._monomial_key(m, m) << polyring._WIDTH  # in m + 1
+    plan, sizes = [], Counter()  # sizes: output block -> number of keys
+    while blocks:
+        (d, p), (keys, cols) = blocks.popitem()
+        live = [i for i, col in zip(count(p, 2), cols) if any(col)]
+        bands = []  # (a, first b, last b): some c_i, |a-b| <= i <= a+b, live
+        for a in range(cap - d + 1 if live else 0):
+            first = max((p + a) & 1, live[0] - a, a - live[-1])
+            last = min(cap - d - a, a + live[-1])
+            if first <= last:
+                bands.append((a, first, last))
+                sizes[d + a, (p + a) & 1] += len(keys)
+        plan.append((d, p, keys, cols, bands))
+    out = {(d, q): ([], [[0] * size for _ in range((cap - d - q) // 2 + 1)])
+           for (d, q), size in sizes.items()}
+    while plan:
+        d, p, keys, cols, bands = plan.pop()
+        run = [0] * len(keys)
+        prefix = [run] + [run := list(map(add, run, col)) for col in cols]
+        shifted = [k << polyring._WIDTH for k in keys]
+        for a, first, last in bands:
+            out_keys, out_cols = out[d + a, (p + a) & 1]
+            start = len(out_keys)
+            out_keys.extend(map(add, shifted, repeat(a * z_m)))
+            for b in range(first, last + 1, 2):  # b of parity (p + a) & 1
+                out_cols[b >> 1][start:len(out_keys)] = map(
+                    sub, prefix[a + b - p + 2 >> 1],
+                    prefix[abs(a - b) - p >> 1])
+    return out
+
+
+def _flatten(blocks, m):
+    """The nonzero packed terms of blocks in m variables; empties them.
+    Keys come from a subtraction, as an int sum keeps a spare digit."""
+    z_m, out = polyring._monomial_key(m, m), {}
+    while blocks:
+        (_, p), (keys, cols) = blocks.popitem()
+        top = p + 2 * len(cols)  # past the last i; c is c_i for i = top - j
+        keys = list(map(add, keys, repeat(top * z_m)))
+        for j, c in zip(count(top - p, -2), cols):
+            out.update(compress(zip(map(sub, keys, repeat(j * z_m)), c), c))
     return out
 
 
@@ -396,6 +435,7 @@ def cross_validate(n, max_total_degree, jobs=1):
     CapacityError is a skip, which does not fail.
     """
     cap = max_total_degree
+    _check_request("verify cross", n, cap, range(cap + 1))  # oracle grades all
     reference = series_by_recursion(n, cap)
     times_pairs = cache(
         lambda: multiply_by_pair_factors(reference, *all_pairs(n)))

@@ -2,15 +2,16 @@
 brute-force decomposition search, inclusion-exclusion subset by subset,
 the elementary and complete homogeneous symmetric polynomials, the
 symmetric-recursion pieces built from their definitions and the hook
-coefficient as a double sum, used as independent cross-checks, and a
-short report of where two long texts differ."""
+coefficient as a double sum, the recursion's variable-split step term
+by term, used as independent cross-checks, and a short report of where
+two long texts differ."""
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from grasshilb import PathMultiset, Tree, caterpillar, parse_tree
-from grasshilb.polyring import IntPolynomial
+from grasshilb import PathMultiset, Tree, caterpillar, parse_tree, polyring
+from grasshilb.polyring import IntPolynomial, geometric_expand
 
 
 def first_difference(got, expected):
@@ -243,3 +244,47 @@ def reference_hook_coefficient(k, beta, top, p, q):
             t = int(alpha == k + beta == p == q)
         c += (-1) ** alpha * t
     return c
+
+
+def reference_next_series(terms, m, cap):
+    """The packed terms of W_{m+1} from those of W_m, m variables, one
+    output term at a time: with the z_m slot lowest, a key is r plus i
+    times the key of z_m, and the coefficient of r z_m^a z_{m+1}^b is
+    c_{|a-b|} + c_{|a-b|+2} + ... + c_{a+b}, one difference of a row's
+    parity prefix sums."""
+    low = (1 << polyring._WIDTH) - 1
+    z_m = polyring._monomial_key(m, m)
+    rows = {}  # r -> [0, 0, c_0, c_1, ...], then prefix sums in place
+    for k, c in terms.items():
+        rest = k - (k & low) * z_m
+        row = rows.get(rest) or rows.setdefault(
+            rest, [0] * (cap - (rest >> polyring._WIDTH * m) + 3))
+        row[(k & low) + 2] = c
+    out = {}
+    for rest, row in rows.items():
+        if len(row) == 3:  # r of degree cap: c_0 passes on as is
+            out[rest << polyring._WIDTH] = row[2]
+            continue
+        for j in range(4, len(row)):
+            row[j] += row[j - 2]
+        live = 0  # bit p set once some c_i with i = p mod 2 is nonzero
+        for s in range(len(row) - 2):  # s = a + b
+            top = row[s + 2]
+            live |= bool(top) << (s & 1)
+            if live >> (s & 1) & 1:
+                key = rest + s * z_m << polyring._WIDTH  # r z_m^s, shifted
+                for b, c in enumerate(row[s::-2]):  # |a - b| = s - 2b
+                    c = top - c
+                    if c:
+                        out[key - b * low] = c
+                        out[key - (s - b) * low] = c
+    return out
+
+
+def reference_series(n, cap):
+    """W_n through the cap as a chain of reference_next_series steps from
+    W_2 = 1/(1 - z1 z2)."""
+    terms = geometric_expand([(1, 2)], 2, cap)._terms
+    for m in range(2, n):
+        terms = reference_next_series(terms, m, cap)
+    return IntPolynomial._trusted(n, terms, cap)

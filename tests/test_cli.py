@@ -415,6 +415,14 @@ def test_oversized_requests_exit_3_at_once(argv, reason):
     assert reason in result.stderr
 
 
+def test_series_at_a_small_odd_cap_is_answered(capsys):
+    # W_n has terms only in even degree, so the recursion's key-slot guard
+    # counts only those cells: through degree 1, W_1000 is the constant 1
+    code, out, _ = run_cli(capsys, "series", "--n", "1000", "--max-degree",
+                           "1")
+    assert (code, out) == (0, "1\n")
+
+
 def readme_examples():
     """(argv, expected stdout lines) of each ``$ grasshilb ...`` line in
     the fenced block under README's "Command line" heading."""

@@ -12,11 +12,13 @@ from grasshilb.hilbert import (
     EXC_LIMIT,
     SYM_LIMIT,
     CapacityError,
+    _blocks,
     _coefficient_polynomials,
+    _flatten,
     _hook_coefficient,
-    _next_series,
     _oracle_check,
     _pool_size,
+    _split_step,
     cross_validate,
     embracing_configurations,
     excluded_configurations,
@@ -38,14 +40,15 @@ from grasshilb.polyring import (
     permute_variables,
     truncate,
 )
-from grasshilb import semigroup
+from grasshilb import polyring, semigroup
 from grasshilb.semigroup import count_gradation, enumerate_gradation_elements
 from grasshilb.trees import (Tree, caterpillar, classify_intersection,
                              parse_tree)
 
 from helpers import (random_tree, reference_coefficient_polynomial,
                      reference_hook_coefficient, reference_hook_sum,
-                     reference_inclusion_exclusion)
+                     reference_inclusion_exclusion, reference_next_series,
+                     reference_series)
 
 
 def test_series_base_case():
@@ -82,6 +85,11 @@ def _split_then_divide(series, m):
         TruncatedSeries(m + 1, cap, split), (m, m + 1))
 
 
+def _next_series(terms, m, cap):
+    """One variable-split step of series_by_recursion on packed terms."""
+    return _flatten(_split_step(_blocks(terms, m, cap), m, cap), m + 1)
+
+
 def test_next_series_matches_its_definition():
     rng = random.Random(31)
     for m in range(2, 7):
@@ -105,6 +113,27 @@ def test_next_series_matches_its_definition():
     assert got == _split_then_divide(series, 2)
     assert (1, 1, 1) not in got.terms
     assert got.coefficient((1, 0, 2)) == -1
+
+
+def test_series_by_recursion_matches_the_reference_chain():
+    # the reference chain through the largest cap within SWEEP_LIMIT is
+    # exact there, so its truncations are W_n through every smaller cap
+    reference = geometric_expand([(1, 2)], 2, 12)
+    for n in range(2, 13):
+        top = max(cap for cap in range(13)
+                  if comb(cap + n, n) <= polyring.SWEEP_LIMIT)
+        if n > 2:
+            terms = truncate(reference, top)._terms
+            reference = IntPolynomial._trusted(
+                n, reference_next_series(terms, n - 1, top), top)
+        expected = reference
+        for cap in range(top, -1, -1):
+            expected = truncate(expected, cap)
+            got = series_by_recursion(n, cap)
+            assert got == expected, (n, cap)
+            assert all(got._terms.values())
+    for n, cap in [(3, 60), (4, 30)]:
+        assert series_by_recursion(n, cap) == reference_series(n, cap)
 
 
 def test_embracing_configurations():
@@ -235,25 +264,43 @@ def test_oversized_sweeps_refused_up_front():
 def test_recursion_slot_guard_keeps_the_runs_it_should(monkeypatch):
     # the guard alone: each step is stubbed, so nothing large is built;
     # test_cli holds the refusals that used to run for minutes
-    from grasshilb import hilbert, polyring
+    from grasshilb import hilbert
 
-    monkeypatch.setattr(hilbert, "_next_series", lambda terms, m, cap: terms)
-    for n, cap in [(12, 10), (10, 14), (40, 4), (213, 2)]:
+    monkeypatch.setattr(hilbert, "_split_step", lambda blocks, m, cap: blocks)
+    for n, cap in [(12, 10), (10, 14), (40, 4), (214, 2), (214, 3),
+                   (1000, 1), (20000, 1)]:
         series_by_recursion(n, cap)
     with pytest.raises(CapacityError, match="key slots"):
-        series_by_recursion(214, 2)
-    # the closed-form slot count is the step-by-step sum: a limit of that
-    # sum lets the run through, one less refuses it
+        series_by_recursion(215, 2)
+    # the recursion counts the even-degree cells, where W_m has its terms;
+    # verify cross counts every cell, as its oracle grades each one, and
+    # checks before any route runs.  A limit of the step-by-step sum lets
+    # the request through, one less refuses it
+    class Passed(Exception):
+        pass
+
+    def passed(n, cap):
+        raise Passed
+
+    monkeypatch.setattr(hilbert, "series_by_recursion", passed)
     for n in range(2, 40):
         for cap in range(30):
             if comb(cap + n, n) > polyring.SWEEP_LIMIT:
                 continue
-            slots = sum((m + 1) * comb(cap + m, m) for m in range(2, n + 1))
-            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", slots)
+            slots = [sum((m + 1) * comb(d + m - 1, m - 1)
+                         for m in range(2, n + 1)) for d in range(cap + 1)]
+            even, every = sum(slots[::2]), sum(slots)
+            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", even)
             series_by_recursion(n, cap)
-            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", slots - 1)
+            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", even - 1)
             with pytest.raises(CapacityError, match="key slots"):
                 series_by_recursion(n, cap)
+            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", every)
+            with pytest.raises(Passed):
+                cross_validate(n, cap)
+            monkeypatch.setattr(hilbert, "RECURSION_LIMIT", every - 1)
+            with pytest.raises(CapacityError, match="key slots"):
+                cross_validate(n, cap)
 
 
 def test_numerator_sym_matches_ie():
