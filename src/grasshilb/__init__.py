@@ -21,7 +21,6 @@ from .hilbert import (
     CapacityError,
     CrossReport,
     cross_validate,
-    embracing_configurations,
     excluded_configurations,
     numerator_inclusion_exclusion,
     numerator_symmetric_recursion,
@@ -82,7 +81,6 @@ __all__ = [
     "cross_validate",
     "decompose",
     "divisor_family",
-    "embracing_configurations",
     "enumerate_gradation_elements",
     "euler_characteristic",
     "excluded_configurations",

@@ -9,9 +9,10 @@ the lam-graded piece of the Grassmannian coordinate ring.  The methods:
   variable's powers across two new leaf variables and divides by one new
   pair factor.  Exact through a total-degree cap.
 * numerator_inclusion_exclusion: the numerator over
-  prod_{i<j} (1 - z_i z_j), as an alternating sum over subsets of the
-  excluded (unordered-intersecting) pair configurations, summed by a DP
-  over the unions of their leaf pairs, not subset by subset.
+  prod_{i<j} (1 - z_i z_j), as an alternating sum over subsets of a
+  tree's excluded (unordered-intersecting) pair configurations, by
+  default the caterpillar's, summed by a DP over the unions of their
+  leaf pairs, not subset by subset.
 * numerator_symmetric_recursion: a coefficient recursion whose
   coefficient polynomials, sums of products of elementary and complete
   homogeneous symmetric polynomials, are read off hook Kostka numbers.
@@ -32,7 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, compress, count, repeat
+from itertools import compress, count, repeat
 from math import comb
 from operator import add, sub
 
@@ -195,13 +196,6 @@ def _flatten(blocks, m):
 # numerator by inclusion-exclusion
 
 
-def embracing_configurations(n):
-    """All ((i,j),(i',j')) with i < i' < j' < j, one per 4-subset of 1..n:
-    the unordered-intersecting pair configurations of the caterpillar."""
-    return [((a, d), (b, c))
-            for a, b, c, d in combinations(range(1, n + 1), 4)]
-
-
 def excluded_configurations(tree):
     """The unordered-intersecting pairs of leaf pairs of a tree, sorted:
     for each relation i<j<k<l of trees.ideal_relations, (i,k),(j,l) when
@@ -215,16 +209,18 @@ def numerator_inclusion_exclusion(n, tree=None):
     """The series numerator over prod (1 - z_i z_j), by
     inclusion-exclusion over the excluded configurations.
 
-    With no tree the caterpillar's embracing configurations are used
-    directly.  Each subset S contributes (-1)^|S| times the product of
-    z_i z_j over the distinct pairs appearing in S, so only the union of
-    those pairs matters.  A DP keeps one coefficient per union, a mask
-    over the distinct pairs of the configurations: adding a configuration
-    to the subsets maps each union u to u | (its two pairs) with the sign
-    flipped, and unions whose coefficient cancels to 0 are dropped.  The
-    cost is one step per configuration over the live unions, 233 of them
-    at n = 6 (8,557 at n = 7), not one per subset.  More than EXC_LIMIT
-    configurations (n >= 8) raise CapacityError before any is listed.
+    The configurations are the tree's, read off its relations; with no
+    tree, the caterpillar's, which are the embracing pairs ((i,j),(i',j'))
+    with i < i' < j' < j.  Each subset S contributes (-1)^|S| times the
+    product of z_i z_j over the distinct pairs appearing in S, so only the
+    union of those pairs matters.  A DP keeps one coefficient per union, a
+    mask over the distinct pairs of the configurations: adding a
+    configuration to the subsets maps each union u to u | (its two pairs)
+    with the sign flipped, and unions whose coefficient cancels to 0 are
+    dropped.  The cost is one step per configuration over the live unions,
+    233 of them at n = 6 (8,557 at n = 7), not one per subset.  More than
+    EXC_LIMIT configurations (n >= 8) raise CapacityError before any tree
+    is built.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -235,8 +231,8 @@ def numerator_inclusion_exclusion(n, tree=None):
         raise CapacityError(
             "%d excluded configurations exceed the limit %d; "
             "use the recursion method" % (comb(n, 4), EXC_LIMIT))
-    exc = (embracing_configurations(n) if tree is None
-           else excluded_configurations(tree))
+    exc = (excluded_configurations(tree or trees.caterpillar(n)) if n > 3
+           else [])  # fewer than four leaves exclude nothing
     # a union is a mask over `pairs`; the benchmark's trace counts the
     # configurations stepped, drawn from range, as hilbert.ie.masks
     pairs = sorted({p for cfg in exc for p in cfg})

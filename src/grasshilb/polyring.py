@@ -118,12 +118,12 @@ def _check_degree(degree, what):
 
 
 def _check_sizes(num_vars, cap=None):
-    if not isinstance(num_vars, int):
+    if isinstance(num_vars, bool) or not isinstance(num_vars, int):
         raise TypeError("num_vars %r is not an int" % (num_vars,))
     if num_vars < 0:
         raise ValueError("num_vars must be non-negative")
     if cap is not None:
-        if not isinstance(cap, int):
+        if isinstance(cap, bool) or not isinstance(cap, int):
             raise TypeError("max_total_degree %r is not an int" % (cap,))
         if cap < 0:
             raise ValueError("max_total_degree must be non-negative")

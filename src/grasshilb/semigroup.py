@@ -4,7 +4,8 @@ Elements are non-negative integer edge vectors expressible as sums of
 leaf-to-leaf path indicators.  Every element has exactly one decomposition
 in which no two chosen paths intersect in an unordered way; decompose()
 finds it by peeling cherries (vertices with two consecutive leaves) on the
-tree itself, in the order of Tree.peel_order(), down to three leaves.
+tree itself, along the peel the Tree records when it is built
+(Tree.peel_steps, in edge indices), down to three leaves.
 With x_a, x_b the cherry's leaf-edge values and x_v the value on its third
 edge, the cherry pair is used a = (x_a + x_b - x_v)/2 times, and the x_v
 paths running through the cherry vertex split so that the ones with the
@@ -50,7 +51,7 @@ class PathMultiset:
     @classmethod
     def from_dict(cls, mapping):
         for pair, m in mapping.items():
-            if not isinstance(m, int):
+            if isinstance(m, bool) or not isinstance(m, int):
                 raise TypeError("multiplicity %r for pair %r is not an int"
                                 % (m, tuple(pair)))
         items = tuple(sorted((tuple(p), m) for p, m in mapping.items() if m))
@@ -115,7 +116,7 @@ def _check_values(tree, values):
         raise ValueError("expected %d edge values, got %d"
                          % (tree.edge_count, len(values)))
     for k, v in enumerate(values, start=1):
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise TypeError("value %r on edge %d is not an int" % (v, k))
     return values
 
@@ -131,33 +132,20 @@ def decompose(tree, values):
         if v < 0:
             raise NotInSemigroupError("negative value %d on edge %d" % (v, k))
     counts = _decompose(tree, values)
-    result = PathMultiset.from_dict(counts)
+    result = PathMultiset(tuple(sorted((pair, m) for pair, m in counts.items()
+                                       if m)))
     if result.edge_vector(tree) != values:
         raise AssertionError("decomposition %r does not add up to %r"
                              % (result.as_dict(), values))
     return result
 
 
-def _peel(tree):
-    """Tree.peel_order() in edge indices (0-based, into a value vector):
-    the steps (l1, l2, e1, e2, edge), e1 and e2 the edges l1 and l2 hang
-    from when the cherry is peeled and edge its third one, and the three
-    leaves left with their edges, as sorted (leaf, edge) pairs."""
-    leaf_edge = {i: tree.leaf_edge(i) - 1 for i in range(1, tree.n_leaves + 1)}
-    steps = []
-    for l1, l2, edge in tree.peel_order():
-        steps.append((l1, l2, leaf_edge[l1], leaf_edge.pop(l2), edge - 1))
-        leaf_edge[l1] = edge - 1
-    return steps, sorted(leaf_edge.items())
-
-
 def _decompose(tree, values):
     if tree.n_leaves == 2:
         return {(1, 2): values[0]}
     # forward: peel the cherries, the cherry vertex taking l1's place
-    steps, base = _peel(tree)
     lifts = []
-    for l1, l2, e1, e2, edge in steps:
+    for l1, l2, e1, e2, edge in tree.peel_steps:
         x1 = values[e1]
         x2 = values[e2]
         twice = x1 + x2 - values[edge]
@@ -179,7 +167,7 @@ def _decompose(tree, values):
         lifts.append((l1, l2, a, y1, y2))
 
     # base: the three remaining leaves
-    x = {i: values[e] for i, e in base}
+    x = {i: values[e] for i, e in tree.peel_base}
     p, q, r = x
     counts = {}
     for a, b, c in ((p, q, r), (p, r, q), (q, r, p)):
@@ -330,7 +318,7 @@ def enumerate_gradation_elements(tree, lam):
         points = [(lam[0],)] if lam[0] == lam[1] else []
     else:
         points = []
-        steps, base = _peel(tree)
+        steps, base = tree.peel_steps, tree.peel_base
         values = [0] * tree.edge_count
         for i, v in enumerate(lam, start=1):
             values[tree.leaf_edge(i) - 1] = v

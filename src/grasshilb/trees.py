@@ -92,8 +92,9 @@ class Tree:
     numbering that is not planar: one whose cherries cannot be peeled down
     to three leaves.  One traversal from leaf 1 stores each leaf's edge
     mask, and path_mask(i, j) is the xor of two of them.  The path
-    semigroup is decomposed on the tree itself: peel_order() lists its
-    cherries in the tree's own leaf and edge numbers.
+    semigroup is decomposed on the tree itself, along the cherry peel kept
+    in edge indices (peel_steps, peel_base); peel_order() lists it in the
+    tree's own leaf and edge numbers.
     """
 
     def __init__(self, n_leaves, edges, leaf_vertices):
@@ -119,27 +120,35 @@ class Tree:
                              % (len(self._adj) - len(mask), len(self._adj)))
         self._leaf_masks = [mask[v] for v in self.leaf_vertices]
         # peel in one stack pass of (label, vertex, the vertex it hangs
-        # off): while the top two hang off one vertex, it takes their place;
-        # more than three leaves left means a non-planar numbering
+        # off, the 0-based edge it hangs from): while the top two hang off
+        # one vertex, it takes their place; more than three leaves left
+        # means a non-planar numbering
         steps, stack = [], []
         for label, leaf in enumerate(self.leaf_vertices, start=1):
-            stack.append((label, leaf, self._adj[leaf][0][0]))
+            parent, eidx = self._adj[leaf][0]
+            stack.append((label, leaf, parent, eidx - 1))
             while (len(steps) < self.n_leaves - 3 and len(stack) > 1
                    and stack[-1][2] == stack[-2][2]):
-                (l2, v2, vertex), (l1, v1, _) = stack.pop(), stack.pop()
-                edge, parent = next((eidx, w) for w, eidx in self._adj[vertex]
-                                    if w not in (v1, v2))
-                stack.append((l1, vertex, parent))
-                steps.append((l1, l2, edge))
+                l2, v2, vertex, e2 = stack.pop()
+                l1, v1, _, e1 = stack.pop()
+                edge, parent = next((eidx - 1, w) for w, eidx
+                                    in self._adj[vertex] if w not in (v1, v2))
+                stack.append((l1, vertex, parent, edge))
+                steps.append((l1, l2, e1, e2, edge))
         if len(steps) < self.n_leaves - 3:
             ends = {}
-            for label, _, parent in stack:
+            for label, _, parent, _ in stack:
                 ends.setdefault(parent, []).append(label)
             wrap = [stack[0][0], stack[-1][0]]
             l1, l2 = min(e for e in ends.values() if len(e) == 2 and e != wrap)
             raise ValueError("cherry leaves (%d, %d) are not adjacent "
                              "among the remaining leaves" % (l1, l2))
-        self._peel_steps = steps
+        #: the peel in 0-based edge indices, into a vector of edge values:
+        #: steps (l1, l2, e1, e2, edge), e1 and e2 the edges l1 and l2 hang
+        #: from when their cherry is peeled and edge its third one, and the
+        #: leaves left (three, or both of a 2-leaf tree) as (leaf, edge)
+        self.peel_steps = tuple(steps)
+        self.peel_base = tuple((label, edge) for label, _, _, edge in stack)
 
     def _validate(self):
         n = self.n_leaves
@@ -189,7 +198,7 @@ class Tree:
         is built: each peels the smallest cherry other than the pair of the
         smallest and largest remaining leaf, its vertex taking l1's place
         with its third edge `edge` as l1's leaf edge."""
-        return list(self._peel_steps)
+        return [(l1, l2, edge + 1) for l1, l2, _, _, edge in self.peel_steps]
 
     def __repr__(self):
         return "Tree(n_leaves=%d)" % self.n_leaves

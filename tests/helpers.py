@@ -1,10 +1,11 @@
 """Shared test utilities: random tree shapes, random path multisets,
-brute-force decomposition search, inclusion-exclusion subset by subset,
-the elementary and complete homogeneous symmetric polynomials, the
-symmetric-recursion pieces built from their definitions and the hook
-coefficient as a double sum, the recursion's variable-split step term
-by term, used as independent cross-checks, and a short report of where
-two long texts differ."""
+brute-force decomposition search, a tree's peel rebuilt in edge indices
+from its peel order, the caterpillar's embracing configurations in closed
+form, inclusion-exclusion subset by subset, the elementary and complete
+homogeneous symmetric polynomials, the symmetric-recursion pieces built
+from their definitions and the hook coefficient as a double sum, the
+recursion's variable-split step term by term, used as independent
+cross-checks, and a short report of where two long texts differ."""
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -133,6 +134,26 @@ def reference_peel_order(edges, leaf_vertices):
         inner[parent] = leaves_at(parent)
         steps.append((l1, l2, edge))
     return steps
+
+
+def reference_peel(tree):
+    """Tree.peel_order() in edge indices (0-based, into a value vector):
+    the steps (l1, l2, e1, e2, edge), e1 and e2 the edges l1 and l2 hang
+    from when the cherry is peeled and edge its third one, and the three
+    leaves left with their edges, as sorted (leaf, edge) pairs."""
+    leaf_edge = {i: tree.leaf_edge(i) - 1 for i in range(1, tree.n_leaves + 1)}
+    steps = []
+    for l1, l2, edge in tree.peel_order():
+        steps.append((l1, l2, leaf_edge[l1], leaf_edge.pop(l2), edge - 1))
+        leaf_edge[l1] = edge - 1
+    return steps, sorted(leaf_edge.items())
+
+
+def embracing_configurations(n):
+    """All ((i,j),(i',j')) with i < i' < j' < j, one per 4-subset of 1..n:
+    the unordered-intersecting pair configurations of the caterpillar."""
+    return [((a, d), (b, c))
+            for a, b, c, d in combinations(range(1, n + 1), 4)]
 
 
 def reference_inclusion_exclusion(n, exc):

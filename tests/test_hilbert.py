@@ -20,7 +20,6 @@ from grasshilb.hilbert import (
     _pool_size,
     _split_step,
     cross_validate,
-    embracing_configurations,
     excluded_configurations,
     numerator_inclusion_exclusion,
     numerator_symmetric_recursion,
@@ -45,7 +44,8 @@ from grasshilb.semigroup import count_gradation, enumerate_gradation_elements
 from grasshilb.trees import (Tree, caterpillar, classify_intersection,
                              parse_tree)
 
-from helpers import (random_tree, reference_coefficient_polynomial,
+from helpers import (embracing_configurations, random_tree,
+                     reference_coefficient_polynomial,
                      reference_hook_coefficient, reference_hook_sum,
                      reference_inclusion_exclusion, reference_next_series,
                      reference_series)
@@ -56,6 +56,9 @@ def test_series_base_case():
     assert format_terms(s) == "1 + z1*z2 + z1^2*z2^2 + z1^3*z2^3"
     with pytest.raises(ValueError):
         series_by_recursion(1, 4)
+    for cap in (True, False):
+        with pytest.raises(TypeError, match="max_total_degree"):
+            series_by_recursion(2, cap)
 
 
 def test_series_three_variables_is_geometric():
@@ -205,6 +208,13 @@ def test_numerator_ie_golden():
         assert result == golden_numerator(n)
     assert format_terms(numerator_inclusion_exclusion(4)) == \
         "1 - z1*z2*z3*z4"
+    # fewer than four leaves exclude nothing, with or without a tree
+    for n in range(4):
+        assert numerator_inclusion_exclusion(n) == \
+            IntPolynomial(n, {(0,) * n: 1})
+    for n in (2, 3):
+        assert numerator_inclusion_exclusion(n, caterpillar(n)) == \
+            IntPolynomial(n, {(0,) * n: 1})
 
 
 def test_numerator_ie_matches_the_subset_walk():

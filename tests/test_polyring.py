@@ -549,8 +549,10 @@ def test_terms_checked_at_the_boundary(exps, coeff, error):
             from_json_dict(data)
 
 
-@pytest.mark.parametrize("num_vars, cap", [(2, 4.5), (2.0, 4), (2.0, None)])
+@pytest.mark.parametrize("num_vars, cap", [(2, 4.5), (2.0, 4), (2.0, None),
+                                           (2, True), (True, 4), (True, None)])
 def test_sizes_checked_at_the_boundary(num_vars, cap):
+    # a bool is an int to isinstance, but json.dumps writes it as true
     with pytest.raises(TypeError):
         if cap is None:
             IntPolynomial(num_vars, {(1, 1): 1})

@@ -83,12 +83,22 @@ def test_non_int_inputs_are_refused():
     for call in (decompose, is_member, gradation):
         with pytest.raises(TypeError, match="1.0 on edge 1"):
             call(t, [1.0, 1, 0])
+        with pytest.raises(TypeError, match="True on edge 1"):
+            call(t, [True, 1, 0])
+    with pytest.raises(TypeError, match="True on edge 1"):
+        decompose(caterpillar(2), [True])
     with pytest.raises(TypeError, match="multiplicity 1.5"):
         PathMultiset.from_dict({(1, 2): 1.5})
     with pytest.raises(TypeError, match="multiplicity 0.0"):
         PathMultiset.from_dict({(1, 2): 0.0})
     with pytest.raises(TypeError):
         PathMultiset.from_json_dict({"pairs": [{"i": 1, "j": 2, "mult": 1.5}]})
+    # a bool multiplicity would be written back as JSON true
+    with pytest.raises(TypeError, match="multiplicity True"):
+        PathMultiset.from_dict({(1, 2): True})
+    with pytest.raises(TypeError, match="multiplicity True"):
+        PathMultiset.from_json_dict({"pairs": [{"i": 1, "j": 2,
+                                                "mult": True}]})
     # gradings: a float entry is refused, not counted as 0 or 1
     for lam in [(1.5, 0.5), (2.0, 2.0)]:
         with pytest.raises(TypeError, match="non-int entry"):

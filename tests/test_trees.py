@@ -14,7 +14,8 @@ from grasshilb.trees import (
     parse_tree,
 )
 
-from helpers import random_tree, random_tree_text, reference_peel_order
+from helpers import (random_tree, random_tree_text, reference_peel,
+                     reference_peel_order)
 
 
 def test_caterpillar_shape():
@@ -319,6 +320,30 @@ def test_peel_order_in_tree_numbers():
     # 3, 4 form the deep cherry, joined to its parent by e5
     t = parse_tree("((*,*),((*,*),*))")
     assert t.peel_order() == [(1, 2, 7), (3, 4, 5)]
+
+
+def test_stored_peel_matches_the_peel_order_in_edge_indices():
+    rng = random.Random(214)
+    trees = [caterpillar(n) for n in range(2, 41)]
+    trees += [random_tree(n, rng) for n in range(2, 41) for _ in range(5)]
+    trees.append(parse_tree("(*," * 1498 + "(*,*)" + ")" * 1498))
+    raw = 0
+    for _ in range(200):
+        t = random_tree(rng.randint(4, 12), rng)
+        leaves = list(t.leaf_vertices)
+        rng.shuffle(leaves)
+        try:
+            trees.append(Tree(t.n_leaves, t.edges, leaves))
+        except ValueError:
+            continue
+        raw += 1
+    assert raw > 20
+    for t in trees:
+        assert t.peel_order() == reference_peel_order(t.edges,
+                                                      t.leaf_vertices)
+        steps, base = reference_peel(t)
+        assert (list(t.peel_steps), list(t.peel_base)) == (steps, base)
+        assert len(base) == min(t.n_leaves, 3)
 
 
 def test_peel_order_rejects_non_planar_numbering():
