@@ -13,7 +13,8 @@ Subcommands:
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure (a `verify cross` route refused for capacity is
-a skip, not a failure), 2 usage or parse error, 3 capacity exceeded,
+a skip, not a failure; a del Pezzo fit that no quadratic form matches
+is a failure), 2 usage or parse error, 3 capacity exceeded,
 4 internal error (the traceback goes to stderr).
 Output is deterministic byte-for-byte, including under --jobs.
 `main` parses with the one parser `build_parser` returns, built on the
@@ -154,40 +155,43 @@ def cmd_relations(args):
     return 0
 
 
-def cmd_verify_cross(args):
+def cmd_verify(args):
+    """Run the `verify` subparser's suite, a function of the arguments to
+    (header lines, CheckResults, verdict, JSON builder); exit 1 on FAIL."""
+    header, checks, passed, json_obj = args.suite(args)
+    _emit(args, lambda: header + [
+        "%s: %s%s" % (c.name, c.status, c.detail and " (%s)" % c.detail)
+        for c in checks] + ["result: " + ("PASS" if passed else "FAIL")],
+        json_obj)
+    return 0 if passed else 1
+
+
+def cross_suite(args):
     report = hilbert.cross_validate(args.n, args.max_degree, jobs=args.jobs)
-
-    def text():
-        yield "n=%d cap=%d" % (report.n, report.cap)
-        for check in report.checks:
-            suffix = " (%s)" % check.detail if check.detail else ""
-            yield "%s: %s%s" % (check.name, check.status, suffix)
-        yield "result: %s" % ("PASS" if report.passed else "FAIL")
-    _emit(args, text, report.to_json_dict)
-    return 0 if report.passed else 1
+    return (["n=%d cap=%d" % (report.n, report.cap)], report.checks,
+            report.passed, report.to_json_dict)
 
 
-def cmd_verify_delpezzo(args):
+def delpezzo_suite(args):
+    """Family chi against W_5 as the header, the quadratic fit as the check."""
     series = hilbert.series_by_recursion(5, delpezzo.GRADING_CAP)
     report = delpezzo.verify_against_series(series)
-    fitted = delpezzo.fit_quadratic_form(series)
-    expected = delpezzo.riemann_roch_coefficients()
-    fit_ok = fitted == expected
-    passed = report.passed and fit_ok
-
-    def text():
-        yield "family: %d/%d pass" % (report.pass_count, len(report.entries))
-        for entry in report.entries:
-            if entry.status != "pass":
-                yield ("  fail at grading %s: chi=%d series=%d"
-                       % (",".join(map(str, entry.grading)),
-                          entry.chi, entry.series_coeff))
-        yield "quadratic fit: %s" % ("pass" if fit_ok else "fail")
-        yield "result: %s" % ("PASS" if passed else "FAIL")
-    _emit(args, text, lambda: dict(report.to_json_dict(), quadratic_fit={
-        "status": "pass" if fit_ok else "fail",
-        "coefficients": [str(c) for c in fitted]}))
-    return 0 if passed else 1
+    header = ["family: %d/%d pass" % (report.pass_count, len(report.entries))]
+    header += ["  fail at grading %s: chi=%d series=%d" % (
+        ",".join(map(str, e.grading)), e.chi, e.series_coeff)
+        for e in report.entries if e.status != "pass"]
+    try:
+        fitted = delpezzo.fit_quadratic_form(series)
+    except (delpezzo.FamilyRankError, delpezzo.FitInconsistencyError) as exc:
+        fit = {"status": "fail", "detail": str(exc)}
+    else:
+        ok = fitted == delpezzo.riemann_roch_coefficients()
+        fit = {"status": "pass" if ok else "fail",
+               "coefficients": [str(c) for c in fitted]}
+    check = hilbert.CheckResult("quadratic fit", fit["status"],
+                                fit.get("detail", ""))
+    return (header, (check,), report.passed and check.status == "pass",
+            lambda: dict(report.to_json_dict(), quadratic_fit=fit))
 
 
 def cmd_fixtures(args):
@@ -200,25 +204,20 @@ def cmd_fixtures(args):
     return 0
 
 
-def _positive_leaves(raw):
-    value = int(raw)
-    if value < 2:
-        raise argparse.ArgumentTypeError("need at least 2 leaves")
-    return value
+def _at_least(name, low, message):
+    """Ints >= low; argparse's `invalid <name> value` names the type."""
+    def convert(raw):
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+    convert.__name__ = name
+    return convert
 
 
-def _job_count(raw):
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError("--jobs must be >= 1")
-    return value
-
-
-def _degree_cap(raw):
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError("degree cap must be >= 0")
-    return value
+_positive_leaves = _at_least("_positive_leaves", 2, "need at least 2 leaves")
+_job_count = _at_least("_job_count", 1, "--jobs must be >= 1")
+_degree_cap = _at_least("_degree_cap", 0, "degree cap must be >= 0")
 
 
 @cache
@@ -293,12 +292,12 @@ def build_parser():
     p.add_argument("--jobs", type=_job_count, default=1,
                    help="worker processes for the oracle sweep, >= 1; "
                         "at most one per CPU is started (default: 1)")
-    p.set_defaults(func=cmd_verify_cross)
+    p.set_defaults(func=cmd_verify, suite=cross_suite)
 
     p = vsub.add_parser("delpezzo", parents=[common],
                         help="Riemann-Roch sweep on the 4-point blow-up "
                              "of the plane")
-    p.set_defaults(func=cmd_verify_delpezzo)
+    p.set_defaults(func=cmd_verify, suite=delpezzo_suite)
 
     p = sub.add_parser("fixtures", parents=[common],
                        help="print the built-in golden numerators")

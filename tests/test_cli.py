@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import grasshilb
-from grasshilb import cli, hilbert, polyring, semigroup
+from grasshilb import cli, delpezzo, hilbert, polyring, semigroup
 from grasshilb.cli import main
 from grasshilb.polyring import from_json_dict, to_json_dict
 from grasshilb.hilbert import (numerator_symmetric_recursion,
@@ -312,6 +313,115 @@ def test_verify_delpezzo_json(capsys):
     assert data["quadratic_fit"]["status"] == "pass"
     assert data["quadratic_fit"]["coefficients"][0] == "1"
     assert len(data["entries"]) == 220
+
+
+def test_verify_delpezzo_reports_a_refused_fit(capsys, monkeypatch):
+    # W_5 with the coefficient at 6,6,4,4,4, the grading of one family
+    # divisor, raised by 1: no quadratic form fits, which is a failed
+    # check with its reason, not a usage error
+    real = hilbert.series_by_recursion
+
+    def corrupted(n, cap):
+        terms = dict(real(n, cap).terms)
+        terms[(6, 6, 4, 4, 4)] += 1
+        return polyring.TruncatedSeries(n, cap, terms)
+    monkeypatch.setattr(cli.hilbert, "series_by_recursion", corrupted)
+    code, out, err = run_cli(capsys, "verify", "delpezzo")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "family: 219/220 pass",
+        "  fail at grading 6,6,4,4,4: chi=19 series=20",
+        "quadratic fit: fail (series values are inconsistent with a "
+        "quadratic form)",
+        "result: FAIL"]
+    code, out, _ = run_cli(capsys, "verify", "delpezzo", "--format", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert data["passed"] == 219
+    assert data["quadratic_fit"] == {
+        "status": "fail",
+        "detail": "series values are inconsistent with a quadratic form"}
+
+
+def test_verify_delpezzo_fails_a_fit_that_differs(capsys, monkeypatch):
+    expected = delpezzo.riemann_roch_coefficients()
+    monkeypatch.setattr(delpezzo, "riemann_roch_coefficients",
+                        lambda: (expected[0] + 1,) + expected[1:])
+    code, out, _ = run_cli(capsys, "verify", "delpezzo")
+    assert code == 1
+    assert out.splitlines() == ["family: 220/220 pass",
+                                "quadratic fit: fail", "result: FAIL"]
+    code, out, _ = run_cli(capsys, "verify", "delpezzo", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["quadratic_fit"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("status, code", [("pass", 0), ("skip", 0),
+                                          ("fail", 1)])
+def test_verify_runner_runs_a_throwaway_suite(capsys, status, code):
+    json_calls = []
+
+    def to_json():
+        json_calls.append(status)
+        return {"status": status}
+
+    def suite(args):
+        checks = (hilbert.CheckResult("first", "pass", "one detail"),
+                  hilbert.CheckResult("second", status, ""))
+        return ["header 1", "header 2"], checks, status != "fail", to_json
+
+    args = argparse.Namespace(format="text", suite=suite)
+    assert cli.cmd_verify(args) == code
+    assert capsys.readouterr().out.splitlines() == [
+        "header 1", "header 2", "first: pass (one detail)",
+        "second: " + status, "result: " + ("FAIL" if code else "PASS")]
+    assert json_calls == []
+    args.format = "json"
+    assert cli.cmd_verify(args) == code
+    assert json.loads(capsys.readouterr().out) == {"status": status}
+    assert json_calls == [status]
+
+
+def test_every_verify_suite_runs_through_the_runner():
+    # a later suite is one more subparser on the one runner, never its
+    # own printer
+    def subcommands(parser):
+        action, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    suites = subcommands(subcommands(cli.build_parser())["verify"])
+    assert sorted(suites) == ["cross", "delpezzo"]
+    for name, parser in suites.items():
+        assert parser.get_default("func") is cli.cmd_verify, name
+        assert callable(parser.get_default("suite")), name
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["series", "--n", "x", "--max-degree", "4"],
+     "grasshilb series: error: argument --n: invalid _positive_leaves "
+     "value: 'x'"),
+    (["series", "--n", "1", "--max-degree", "4"],
+     "grasshilb series: error: argument --n: need at least 2 leaves"),
+    (["series", "--n", "3", "--max-degree", "-1"],
+     "grasshilb series: error: argument --max-degree: degree cap must be "
+     ">= 0"),
+    (["series", "--n", "3", "--max-degree", "y"],
+     "grasshilb series: error: argument --max-degree: invalid _degree_cap "
+     "value: 'y'"),
+    (["verify", "cross", "--n", "4", "--max-degree", "4", "--jobs", "0"],
+     "grasshilb verify cross: error: argument --jobs: --jobs must be >= 1"),
+    (["verify", "cross", "--n", "4", "--max-degree", "4", "--jobs", "x"],
+     "grasshilb verify cross: error: argument --jobs: invalid _job_count "
+     "value: 'x'"),
+])
+def test_integer_options_name_their_converter(capsys, argv, error):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: grasshilb ")
+    assert captured.err.endswith("\n" + error + "\n")
 
 
 def test_fixtures(capsys):
