@@ -15,14 +15,15 @@ kapranov_grading() maps the divisor to the 5-variable grading at which
 the same number must appear as a coefficient of W_5.  The verification
 sweeps 220 divisors around -2K and also refits the quadratic form from
 the series coefficients alone, recovering Riemann-Roch with no prior
-knowledge of it: the fit eliminates over the integers (fraction-free)
-and returns exact Fractions.
+knowledge of it: the fit solves its 21 normal equations fraction-free,
+checks every family row by substitution and returns exact Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .polyring import PrecisionError
 
@@ -239,45 +240,52 @@ def fit_quadratic_form(series):
 
 
 def _solve_exact(matrix, ncols):
-    """Solve an augmented integer matrix by fraction-free Gauss-Jordan
-    elimination (Bareiss); require full column rank and consistency.
+    """Solve an augmented integer matrix (A | b) for ncols unknowns;
+    require full column rank and consistency.
 
-    Each step replaces every other row by (pivot*a - f*b) / previous_pivot,
-    a division that is exact (the entries are minors of the matrix), so
-    the rows stay integers and every pivot row ends with the last pivot on
-    its diagonal.  Fractions appear only in the returned solution.
+    Fraction-free Gauss-Jordan (Bareiss) runs on the ncols normal
+    equations (A^T A | A^T b), not on the rows of A.  rank(A^T A) =
+    rank(A), so the rank verdict and number are those of A.  With full
+    rank the normal equations have one solution x, which solves A x = b
+    whenever anything does, so substituting x into every row decides
+    consistency.  Each step replaces every other row by
+    (pivot*a - f*b) / previous_pivot, an exact division (the entries are
+    minors), so every pivot row ends with the last pivot D on its
+    diagonal and x = N/D, N the last column.  Rows are checked in
+    integers as a.N == b*D; Fractions appear only in the result.
     """
-    nrows = len(matrix)
-    pivot_cols = []
+    cols = list(zip(*matrix)) or [()] * (ncols + 1)
+    normal = [[0] * i + [sum(map(mul, cols[i], cj)) for cj in cols[i:]]
+              for i in range(ncols)]
+    for i in range(ncols):
+        for j in range(i):
+            normal[i][j] = normal[j][i]
+    rank = 0
     previous = 1
     for col in range(ncols):
-        rank = len(pivot_cols)
-        pivot = next((r for r in range(rank, nrows) if matrix[r][col]), None)
+        pivot = next((r for r in range(rank, ncols) if normal[r][col]), None)
         if pivot is None:
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        prow = matrix[rank]
+        normal[rank], normal[pivot] = normal[pivot], normal[rank]
+        prow = normal[rank]
         p = prow[col]
-        for r in range(nrows):
+        for r in range(ncols):
             if r != rank:
-                f = matrix[r][col]
-                matrix[r] = [_exact_quotient(p * a - f * b, previous)
-                             for a, b in zip(matrix[r], prow)]
+                f = normal[r][col]
+                normal[r] = [_exact_quotient(p * a - f * b, previous)
+                             for a, b in zip(normal[r], prow)]
         previous = p
-        pivot_cols.append(col)
-    rank = len(pivot_cols)
+        rank += 1
     if rank < ncols:
         raise FamilyRankError(
             "family only determines %d of %d quadratic coefficients"
             % (rank, ncols))
-    for r in range(rank, nrows):
-        if matrix[r][ncols]:
+    numerators = [row[ncols] for row in normal]
+    for row in matrix:
+        if sum(map(mul, row, numerators)) != row[ncols] * previous:
             raise FitInconsistencyError(
                 "series values are inconsistent with a quadratic form")
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = Fraction(matrix[r][ncols], matrix[r][col])
-    return solution
+    return [Fraction(n, previous) for n in numerators]
 
 
 def _exact_quotient(numerator, divisor):

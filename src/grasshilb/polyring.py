@@ -139,11 +139,12 @@ def _validated_terms(num_vars, terms, cap):
         if len(exps) != num_vars:
             raise DimensionError(
                 "exponent tuple %r does not have %d entries" % (exps, num_vars))
-        if not all(isinstance(e, int) for e in exps):
+        if not all(isinstance(e, int) and not isinstance(e, bool)
+                   for e in exps):
             raise TypeError("exponent tuple %r has a non-int entry" % (exps,))
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent in %r" % (exps,))
-        if not isinstance(coeff, int):
+        if isinstance(coeff, bool) or not isinstance(coeff, int):
             raise TypeError("coefficient %r is not an int" % (coeff,))
         if coeff:
             degree = sum(exps)

@@ -1,6 +1,7 @@
 """Divisor bookkeeping and the Riemann-Roch cross-check."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,16 +221,22 @@ def reference_solve(matrix, ncols):
 
 
 def outcome(solve, matrix, ncols):
+    """The solution, (FamilyRankError, rank) or (FitInconsistencyError,)."""
     try:
         return solve([list(row) for row in matrix], ncols)
-    except (FamilyRankError, FitInconsistencyError) as exc:
-        return type(exc)
+    except FamilyRankError as exc:  # both messages name the rank first
+        return FamilyRankError, int(re.search(r"\d+", str(exc)).group())
+    except FitInconsistencyError:
+        return FitInconsistencyError,
 
 
 def random_system(rng, kind):
     """A small integer augmented matrix of the given kind."""
     ncols = rng.randint(1, 4)
-    nrows = ncols + rng.randint(0, 3)
+    if kind == "tall":
+        nrows = rng.randint(ncols + 4, max(ncols + 4, 4 * ncols))
+    else:
+        nrows = ncols + rng.randint(0, 3)
 
     def entry():
         return rng.choice((0, 0, rng.randint(-5, 5)))
@@ -238,6 +245,15 @@ def random_system(rng, kind):
     if kind == "consistent":  # rhs from an integer solution
         x = [rng.randint(-4, 4) for _ in range(ncols)]
         return [row + [sum(a * b for a, b in zip(row, x))] for row in rows]
+    if kind == "tall":  # solution y_c / s_c, then about half the systems
+        # get one rhs entry moved by 1
+        scale = [rng.randint(1, 3) for _ in range(ncols)]
+        y = [rng.randint(-4, 4) for _ in range(ncols)]
+        tall = [[a * s for a, s in zip(row, scale)]
+                + [sum(a * b for a, b in zip(row, y))] for row in rows]
+        if rng.random() < 0.5:
+            tall[rng.randrange(nrows)][-1] += rng.choice((-1, 1))
+        return tall
     if kind == "zero column":
         col = rng.randrange(ncols)
         for row in rows:
@@ -250,16 +266,48 @@ def random_system(rng, kind):
 
 def test_solve_exact_matches_the_fraction_reference():
     rng = random.Random(504)
-    kinds = ("consistent", "free", "zero column", "row swap")
+    kinds = ("consistent", "free", "zero column", "row swap", "tall")
     seen = set()
-    for i in range(200):
+    for i in range(250):
         kind = kinds[i % len(kinds)]
         matrix = random_system(rng, kind)
         ncols = len(matrix[0]) - 1
         expected = outcome(reference_solve, matrix, ncols)
         assert outcome(_solve_exact, matrix, ncols) == expected, matrix
-        seen.add((kind, expected if isinstance(expected, type) else "unique"))
+        seen.add((kind, "unique" if isinstance(expected, list)
+                  else expected[0]))
     assert seen >= {("consistent", "unique"), ("row swap", "unique"),
                     ("zero column", FamilyRankError),
                     ("free", FamilyRankError),
-                    ("free", FitInconsistencyError)}
+                    ("free", FitInconsistencyError),
+                    ("tall", "unique"), ("tall", FitInconsistencyError)}
+
+
+def w5_family_system():
+    """The augmented system fit_quadratic_form hands to _solve_exact."""
+    rows = {}
+    for d10 in divisor_family():
+        d5 = base_change(d10)
+        rows[quadratic_monomial_values(d5)] = w5_series().coefficient(
+            kapranov_grading(d5))
+    return [list(row) + [rhs] for row, rhs in sorted(rows.items())]
+
+
+def test_solve_exact_on_the_family_system():
+    matrix = w5_family_system()
+    ncols = len(MONOMIAL_ORDER)
+    assert len(matrix) == 141
+    assert _solve_exact(matrix, ncols) == list(riemann_roch_coefficients())
+    for col in (0, 7, ncols - 1):
+        dropped = [row[:col] + [0] + row[col + 1:] for row in matrix]
+        with pytest.raises(FamilyRankError, match=(
+                "^family only determines 20 of 21 quadratic coefficients$")):
+            _solve_exact(dropped, ncols)
+    for r in (0, 70, len(matrix) - 1):
+        moved = [row[:] for row in matrix]
+        moved[r][ncols] += 1
+        assert outcome(reference_solve, moved, ncols) == (
+            FitInconsistencyError,)
+        with pytest.raises(FitInconsistencyError, match=(
+                "^series values are inconsistent with a quadratic form$")):
+            _solve_exact(moved, ncols)

@@ -535,13 +535,18 @@ def test_json_text_is_written_in_bounded_pieces():
     ((1, 0, 0), 1, DimensionError),
     ((-1, 0), 1, ValueError),
     ((1, 0), 1.5, TypeError),
+    # a bool is an int to isinstance, but json.dumps writes it as true
+    ((True, True), 1, TypeError),
+    ((2, False), 1, TypeError),
+    ((1, 1), True, TypeError),
+    ((1, 1), False, TypeError),
 ])
 def test_terms_checked_at_the_boundary(exps, coeff, error):
     with pytest.raises(error):
         IntPolynomial(2, {exps: coeff})
     with pytest.raises(error):
         TruncatedSeries(2, 4, {exps: coeff})
-    json_coeff = str(coeff) if isinstance(coeff, int) else coeff
+    json_coeff = str(coeff) if type(coeff) is int else coeff
     for cap in (None, 4):
         data = {"num_vars": 2, "max_total_degree": cap,
                 "terms": [{"e": list(exps), "c": json_coeff}]}
