@@ -51,7 +51,8 @@ class FitInconsistencyError(ValueError):
 
 def _check_coords(divisor, size, what):
     divisor = tuple(divisor)
-    if len(divisor) != size or not all(isinstance(v, int) for v in divisor):
+    # int, not a subclass: a bool is an int to isinstance
+    if len(divisor) != size or not set(map(type, divisor)) <= {int}:
         raise ValueError("expected %d integer %s coordinates" % (size, what))
     return divisor
 
@@ -248,11 +249,12 @@ def _solve_exact(matrix, ncols):
     rank(A), so the rank verdict and number are those of A.  With full
     rank the normal equations have one solution x, which solves A x = b
     whenever anything does, so substituting x into every row decides
-    consistency.  Each step replaces every other row by
-    (pivot*a - f*b) / previous_pivot, an exact division (the entries are
-    minors), so every pivot row ends with the last pivot D on its
-    diagonal and x = N/D, N the last column.  Rows are checked in
-    integers as a.N == b*D; Fractions appear only in the result.
+    consistency.  Each step replaces the entries right of the pivot
+    column in every other row by (pivot*a - f*b) / previous_pivot, an
+    exact division (the entries are minors); entries at and left of it
+    are never read again.  With the last pivot D, x = N/D, N the last
+    column.  Rows are checked in integers as a.N == b*D; Fractions
+    appear only in the result.
     """
     cols = list(zip(*matrix)) or [()] * (ncols + 1)
     normal = [[0] * i + [sum(map(mul, cols[i], cj)) for cj in cols[i:]]
@@ -271,9 +273,11 @@ def _solve_exact(matrix, ncols):
         p = prow[col]
         for r in range(ncols):
             if r != rank:
-                f = normal[r][col]
-                normal[r] = [_exact_quotient(p * a - f * b, previous)
-                             for a, b in zip(normal[r], prow)]
+                row = normal[r]
+                f = row[col]
+                row[col + 1:] = [
+                    _exact_quotient(p * a - f * b, previous)
+                    for a, b in zip(row[col + 1:], prow[col + 1:])]
         previous = p
         rank += 1
     if rank < ncols:

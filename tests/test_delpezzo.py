@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from grasshilb import delpezzo
 from grasshilb.delpezzo import (
     GRADING_CAP,
     MONOMIAL_ORDER,
@@ -68,6 +69,18 @@ def test_base_change_linear():
 def test_base_change_validation():
     with pytest.raises(ValueError):
         base_change((1, 2, 3))
+    with pytest.raises(ValueError):  # a bool is an int to isinstance
+        base_change((True,) * 10)
+
+
+@pytest.mark.parametrize("function", [
+    kapranov_grading, euler_characteristic, quadratic_monomial_values])
+@pytest.mark.parametrize("divisor5", [
+    (1, 2, 3), (1, 0, 0, 0, 0.5), (True, 0, 0, 0, 0), (1, 2, 3, 4, False)],
+    ids=["short", "float", "bool-first", "bool-last"])
+def test_basis_coordinates_validation(function, divisor5):
+    with pytest.raises(ValueError, match="^expected 5 integer basis"):
+        function(divisor5)
 
 
 def test_kapranov_grading_frozen():
@@ -293,11 +306,22 @@ def w5_family_system():
     return [list(row) + [rhs] for row, rhs in sorted(rows.items())]
 
 
-def test_solve_exact_on_the_family_system():
+def test_solve_exact_on_the_family_system(monkeypatch):
     matrix = w5_family_system()
     ncols = len(MONOMIAL_ORDER)
     assert len(matrix) == 141
+    calls = []
+    exact_quotient = delpezzo._exact_quotient
+
+    def counted(numerator, divisor):
+        calls.append(numerator)
+        return exact_quotient(numerator, divisor)
+
+    monkeypatch.setattr(delpezzo, "_exact_quotient", counted)
     assert _solve_exact(matrix, ncols) == list(riemann_roch_coefficients())
+    # each of the 21 steps rewrites, in the 20 other rows, the columns
+    # right of the pivot column: 20 * (21 + 20 + ... + 1) = 4,620
+    assert len(calls) == 4620
     for col in (0, 7, ncols - 1):
         dropped = [row[:col] + [0] + row[col + 1:] for row in matrix]
         with pytest.raises(FamilyRankError, match=(

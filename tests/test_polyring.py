@@ -459,22 +459,37 @@ BIG = (1 << 64) + 3
     TruncatedSeries(0, 5, {(): 1}),
     IntPolynomial(3, {(1, 0, 2): -BIG, (0, 0, 0): BIG * BIG, (4, 4, 4): -1}),
     IntPolynomial(2, {(65535, 0): 1, (0, 65535): -1}),
+    # one exponent group of WIDE slots next to different partner groups
+    IntPolynomial(5, {(255, 256, 257, 0, 1): 3, (1, 0, 0, 256, 255): 2,
+                      (255, 256, 257, 256, 255): -BIG,
+                      (255, 256, 257, 0, 0): -1}),
 ], ids=["0-vars", "0-vars-constant", "zero-3-vars", "uncapped", "cap-0-zero",
-        "cap-0", "0-vars-series", "big-coefficients", "full-key-slots"])
+        "cap-0", "0-vars-series", "big-coefficients", "full-key-slots",
+        "wide-groups"])
 def test_json_text_matches_json_dumps(obj):
     assert "".join(iter_json_text(obj)) == json.dumps(to_json_dict(obj),
                                                       indent=2)
 
 
 def test_json_text_matches_json_dumps_random():
+    # from _GROUPED_VARS variables on, the writer renders each key as
+    # two cached exponent groups, the first nv - nv // 2 slots and the
+    # last nv // 2: count those polynomials where one first group recurs
+    # within a call; with fewer it formats every slot
     rng = random.Random(109)
-    for _ in range(40):
-        nv = rng.randint(0, 5)
-        p = random_poly(rng, nv, max_terms=10, max_coeff=10 ** 25)
-        if rng.random() < 0.5:
-            p = truncate(p, rng.randint(0, 6))
-        assert "".join(iter_json_text(p)) == json.dumps(to_json_dict(p),
-                                                        indent=2)
+    reused = 0
+    for nv in range(13):
+        for _ in range(6):
+            p = random_poly(rng, nv, max_terms=60,
+                            max_exp=rng.choice((1, 3)), max_coeff=10 ** 25)
+            if rng.random() < 0.5:
+                p = truncate(p, rng.randint(0, 6))
+            assert "".join(iter_json_text(p)) == json.dumps(to_json_dict(p),
+                                                            indent=2)
+            firsts = [e[:nv - nv // 2] for e in p.terms]
+            reused += (nv >= polyring._GROUPED_VARS
+                       and len(set(firsts)) < len(firsts))
+    assert reused >= 30
 
 
 CHUNK = polyring._CHUNK
