@@ -70,7 +70,11 @@ def base_change(divisor10):
 
 def kapranov_grading(divisor5):
     """Grading of W_5 at which chi of the divisor must appear."""
-    a01, a02, a03, a04, a12 = _check_coords(divisor5, 5, "basis")
+    return _kapranov_grading(_check_coords(divisor5, 5, "basis"))
+
+
+def _kapranov_grading(divisor5):
+    a01, a02, a03, a04, a12 = divisor5
     return (a01 + a02 + a03 + a04, a01, a02, a03 + a12, a04 + a12)
 
 
@@ -80,7 +84,11 @@ def euler_characteristic(divisor5):
     (D.D - K.D) must be even; if not, the basis bookkeeping is broken and
     ChiIntegralityError is raised rather than rounding.
     """
-    a01, a02, a03, a04, a12 = _check_coords(divisor5, 5, "basis")
+    return _euler_characteristic(_check_coords(divisor5, 5, "basis"))
+
+
+def _euler_characteristic(divisor5):
+    a01, a02, a03, a04, a12 = divisor5
     quad = (-a01 * a01 - a02 * a02 - a03 * a03 - a04 * a04 - a12 * a12
             + 2 * a12 * (a01 + a02))
     lin = a01 + a02 + a03 + a04 + a12
@@ -165,12 +173,12 @@ def verify_against_series(series):
     _check_series(series)
     entries = []
     for d10 in divisor_family():
-        d5 = base_change(d10)
-        grading = kapranov_grading(d5)
+        d5 = base_change(d10)  # checks the coordinates, once
+        grading = _kapranov_grading(d5)
         if any(g < 0 for g in grading) or sum(grading) > GRADING_CAP:
             raise AssertionError("family grading %r escaped the pinned box"
                                  % (grading,))
-        chi = euler_characteristic(d5)
+        chi = _euler_characteristic(d5)
         coeff = series.coefficient(grading)
         status = "pass" if chi == coeff else "fail"
         entries.append(DelPezzoEntry(d10, d5, grading, chi, coeff, status))
@@ -187,7 +195,11 @@ MONOMIAL_ORDER = tuple((i, j) for i in range(6) for j in range(i, 6))
 
 def quadratic_monomial_values(divisor5):
     """The 21 monomial values b_i b_j of a divisor, in MONOMIAL_ORDER."""
-    b = (1,) + _check_coords(divisor5, 5, "basis")
+    return _quadratic_monomial_values(_check_coords(divisor5, 5, "basis"))
+
+
+def _quadratic_monomial_values(divisor5):
+    b = (1,) + divisor5
     return tuple(b[i] * b[j] for i, j in MONOMIAL_ORDER)
 
 
@@ -229,9 +241,9 @@ def fit_quadratic_form(series):
     _check_series(series)
     rows = {}
     for d10 in divisor_family():
-        d5 = base_change(d10)
-        row = quadratic_monomial_values(d5)
-        rhs = series.coefficient(kapranov_grading(d5))
+        d5 = base_change(d10)  # checks the coordinates, once
+        row = _quadratic_monomial_values(d5)
+        rhs = series.coefficient(_kapranov_grading(d5))
         if row in rows and rows[row] != rhs:
             raise FitInconsistencyError(
                 "equal divisors with different series values at %r" % (d5,))

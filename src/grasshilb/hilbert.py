@@ -15,7 +15,8 @@ the lam-graded piece of the Grassmannian coordinate ring.  The methods:
   leaf pairs, not subset by subset.
 * numerator_symmetric_recursion: a coefficient recursion whose
   coefficient polynomials, sums of products of elementary and complete
-  homogeneous symmetric polynomials, are read off hook Kostka numbers.
+  homogeneous symmetric polynomials, reduce to signed elementary
+  symmetric polynomials.
   Conjectural: it is validated against the other methods, never assumed.
 * the count_gradation oracle from the semigroup module.
 
@@ -33,7 +34,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count, repeat
+from itertools import combinations, compress, count, repeat
 from math import comb
 from operator import add, sub
 
@@ -51,8 +52,8 @@ from .polyring import (CapacityError, IntPolynomial, all_pairs,
 EXC_LIMIT = 35
 
 #: Largest n the symmetric recursion will run: F_n has about 24 times
-#: the terms of F_{n-1}, and F_9 has 1,109,314 (about 4 s and 233 MiB on
-#: a shared 2-vCPU machine, Python 3.11).
+#: the terms of F_{n-1}, and F_9 has 1,109,314 (about 3 s and 233 MiB on
+#: a shared 2-vCPU machine, Python 3.11; the sparse products take most).
 SYM_LIMIT = 9
 
 #: Most key slots the recursion may read, m + 1 per key of W_m: its cells of
@@ -304,11 +305,28 @@ def numerator_symmetric_recursion(n):
     (-1)^last C(p-q-1, last-j) when p > q and (-1)^j when p = q.  Past last
     only alpha = p survives, when p = q = k + beta <= top (p >= k, beta >= 0).
     No binomial top is negative (j <= q < p, or p = q and j <= k-1 < p),
-    so c is one sum over j <= min(q, last).  It depends on mu only through
-    (p, q): each stage groups the monomials of a degree by (p, q) once and
-    writes c onto every key of a group, no polynomial products build
-    a(k, l), and a degree where every c vanishes is never listed.  Powers
-    of z_{m-1} and z_m are key offsets onto disjoint keys.
+    so c is one sum over j <= min(q, last) of
+    (-1)^beta C(q, j) C(p-j-1, beta) s_j, with s_j that alpha-sum.
+
+    Every call has top >= min(k, v) (top = min(t, v), k = t - i, i >= 0),
+    so last = min(p, k-1) as p <= v, and c vanishes unless mu is
+    squarefree, p = q = d = k + beta:
+
+    * p > q: the terms live on j in [max(0, last-(p-q)+1),
+      min(q, last, p-1-beta)], which is empty as 2p - q <= k + beta: its
+      start passes q when last = p, and p-1-beta when last = k-1.
+    * p = q = d, k >= 1: last = k-1, and sum_{j=0}^{d} (-1)^j C(d, j)
+      C(d-1-j, beta) = 0, C(d-1-j, beta) being a polynomial in j of
+      degree beta < d; its terms with k <= j < d vanish and the j = d
+      term is (-1)^(d+beta), so c = (-1)^d [d <= top] - (-1)^d.
+    * p = q = d, k <= 0: the j-sum is empty, c = (-1)^d [d <= top].
+
+    The squarefree monomials of degree d sum to sigma_d, so a(k, l) is
+    the sum over max(0, -k) <= beta <= min(v-1, v-k) of
+    eps z_{m-1}^beta sigma_{k+beta}(z_1..z_v), d = k + beta, with
+    eps = (-1)^d [d <= top] for k <= 0 and -(-1)^d [d > top] for k >= 1.
+    No polynomial product builds a(k, l); a call with top < min(k, v) is
+    refused.  Powers of z_{m-1} and z_m are key offsets onto disjoint keys.
 
     Coefficient vectors carry n+1 slots; the three slots past the end are
     checked to vanish so silent truncation cannot go unnoticed.  n past
@@ -351,64 +369,33 @@ def _symmetric_step(coeffs, stage, n):
 
 
 def _coefficient_polynomials(stage, n):
-    """a(k, top) of the stage, as a memo of packed term dicts in n
-    variables.  The monomials of a degree, grouped by (p, q), enter one
-    table the first time some (p, q) of that degree gets a nonzero
-    coefficient.  No memo here calls itself: a closure cycle would keep
-    its cache alive past the stage, until the next cyclic garbage
-    collection."""
+    """a(k, top) of the stage, sum_beta eps z_{m-1}^beta sigma_{k+beta}, as
+    a memo of packed term dicts in n variables.  The keys of sigma_d, the
+    sums of the d-subsets of z_1..z_v, are listed once per degree.  No
+    memo here calls itself: a closure cycle would keep its cache alive
+    past the stage, until the next cyclic garbage collection."""
     v = stage - 2          # symmetric polynomials in z_1..z_v
     z_attach = polyring._monomial_key(n, stage - 1)  # carries the beta sum
     var_keys = [polyring._monomial_key(n, i) for i in range(1, v + 1)]
-    groups = {}            # degree -> {(p, q): keys}
+    elementary = {}        # degree d -> keys of sigma_d
 
     @cache
     def a_terms(k, top):
+        if top < min(k, v):
+            raise ValueError("a(k, top) is closed only for top >= min(k, v)")
         out = {}
-        for beta in range(max(0, -k), v):
-            d = k + beta  # mu of degree d: q ones, p - q entries >= 2
-            coeff = {(p, q): _hook_coefficient(k, beta, top, p, q)
-                     for p in range(min(d, v) + 1) for q in range(p + 1)
-                     if p == q == d or q < p and 2 * p - q <= d}
-            if not any(coeff.values()):
+        for beta in range(max(0, -k), min(v - 1, v - k) + 1):
+            d = k + beta
+            if (d > top) != (k >= 1):  # eps = 0
                 continue
-            if d not in groups:
-                groups[d] = _monomials_by_support(var_keys, d)
+            if d not in elementary:
+                elementary[d] = [sum(s) for s in combinations(var_keys, d)]
             shift = beta * z_attach
-            for pq, keys in groups[d].items():
-                if coeff[pq]:
-                    out.update(zip([key + shift for key in keys],
-                                   repeat(coeff[pq])))
+            out.update(zip([key + shift for key in elementary[d]],
+                           repeat((-1) ** (d + (k >= 1)))))
         return out
 
     return a_terms
-
-
-def _monomials_by_support(var_keys, degree):
-    """The keys of the monomials of the given degree in the variables of
-    `var_keys`, grouped by (p, q): p exponents nonzero, q of them 1.  One
-    variable's exponent is added at a time."""
-    states = [(0, degree, 0, 0)]  # key, degree left, p, q
-    for var in var_keys[:-1]:
-        states = [(key + e * var, left - e, p + (e > 0), q + (e == 1))
-                  for key, left, p, q in states for e in range(left + 1)]
-    last = var_keys[-1]
-    groups = {}
-    for key, left, p, q in states:  # the last variable takes what is left
-        groups.setdefault((p + (left > 0), q + (left == 1)), []).append(
-            key + left * last)
-    return groups
-
-
-def _hook_coefficient(k, beta, top, p, q):
-    """c of numerator_symmetric_recursion: the coefficient of z_{m-1}^beta
-    z^mu in a(k, top): |mu| = k + beta, p nonzero entries, q of them 1."""
-    c = (-1) ** p if p == q == k + beta <= top else 0
-    last = min(top, p, k - 1)  # the alphas with k - alpha >= 1
-    for j in range(min(q, last) + 1):
-        s = (-1) ** last * comb(p - q - 1, last - j) if p > q else (-1) ** j
-        c += (-1) ** beta * comb(q, j) * comb(p - j - 1, beta) * s
-    return c
 
 
 # ---------------------------------------------------------------------------

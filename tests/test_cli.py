@@ -51,6 +51,15 @@ def test_numerator_sym_at_n7(capsys):
         series_by_recursion(7, 10)
 
 
+def test_numerator_sym_at_n8(capsys):
+    # F_8 (45,318 terms) byte for byte, as the test above pins F_7
+    code, out, _ = run_cli(capsys, "numerator", "--n", "8", "--method", "sym",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3874b4839a0113ef5428f111f8e4ceb0f380f591b5b9f3d7ed59fb52b584504f")
+
+
 def test_numerator_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "numerator", "--n", "4", "--method", "ie",
                            "--format", "json")

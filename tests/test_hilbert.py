@@ -15,7 +15,6 @@ from grasshilb.hilbert import (
     _blocks,
     _coefficient_polynomials,
     _flatten,
-    _hook_coefficient,
     _oracle_check,
     _pool_size,
     _split_step,
@@ -357,36 +356,47 @@ def test_hook_sums_are_signed_hook_binomials():
 
 def test_coefficient_polynomials_match_their_definition():
     # every stage of F_7, every k down to -2 and up through the slots the
-    # stage asks for (t <= n + 3), and every top = min(k + l, v)
+    # stage asks for (t <= n + 3), and every top = min(k + l, v) with
+    # top >= min(k, v), the domain of the closed form; below it, a raise
     n = 7
     for stage in range(3, n + 1):
         v = stage - 2
         a_terms = _coefficient_polynomials(stage, n)
         for k in range(-2, n + 4):
             for top in range(v + 1):
+                if top < min(k, v):
+                    with pytest.raises(ValueError, match="closed only"):
+                        a_terms(k, top)
+                    continue
                 closed = IntPolynomial._trusted(n, a_terms(k, top))
                 assert closed == reference_coefficient_polynomial(
                     stage, n, k, top - k), (stage, k, top)
 
 
-def test_hook_coefficient_matches_its_double_sum():
-    # every realisable (p, q) with p <= 7 over a box that holds every
-    # argument the recursion passes through F_9: mu of degree k + beta
-    # with p nonzero entries, q of them 1, so p = q = k + beta or
-    # q < p and 2p - q <= k + beta
+def test_hook_coefficient_is_a_signed_squarefree_indicator():
+    # the double sum c is 0 for every p > q and eps at p = q = k + beta,
+    # eps = (-1)^d [d <= top] for k <= 0 and -(-1)^d [d > top] for k >= 1,
+    # on every top >= min(k, v) over a box that holds every argument the
+    # recursion passes through F_9 (v <= 7): mu of degree d = k + beta in
+    # v variables with p nonzero entries, q of them 1, so p = q = d or
+    # q < p and 2p - q <= d
     points = 0
-    for k in range(-8, 13):
-        for beta in range(max(0, -k), 7):
-            d = k + beta
-            pqs = [(p, q) for p in range(8) for q in range(p + 1)
-                   if p == q == d or q < p and 2 * p - q <= d]
-            for top in range(8):
-                for p, q in pqs:
-                    got = _hook_coefficient(k, beta, top, p, q)
-                    want = reference_hook_coefficient(k, beta, top, p, q)
-                    assert got == want, (k, beta, top, p, q)
-                    points += 1
-    assert points == 13_000
+    for v in range(1, 8):
+        for k in range(-9, 13):
+            for beta in range(max(0, -k), v):
+                d = k + beta
+                pqs = [(p, q) for p in range(min(d, v) + 1)
+                       for q in range(p + 1)
+                       if p == q == d or q < p and 2 * p - q <= d]
+                for top in range(max(0, min(k, v)), v + 1):
+                    eps = ((-1) ** d * (d <= top) if k <= 0
+                           else -(-1) ** d * (d > top))
+                    for p, q in pqs:
+                        want = eps if p == q == d else 0
+                        got = reference_hook_coefficient(k, beta, top, p, q)
+                        assert got == want, (v, k, beta, top, p, q)
+                        points += 1
+    assert points == 7605
 
 
 def test_f8_restricts_to_f7():
