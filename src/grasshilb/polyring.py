@@ -103,11 +103,11 @@ def _pack(exps):
 
 
 def _exponents(keys, num_vars):
-    """The exponent tuples of packed `keys`, in order, from one unpack
-    over the joined key bytes."""
+    """The exponent tuples of packed `keys`, in order, lazily, from one
+    unpack over the joined key bytes."""
     layout = _layout(num_vars)
     data = b"".join([k.to_bytes(layout.size, "big") for k in keys])
-    return [e[1:] for e in layout.iter_unpack(data)]
+    return (e[1:] for e in layout.iter_unpack(data))
 
 
 def _monomial_key(num_vars, *indices):
@@ -504,19 +504,29 @@ def permute_variables(obj, perm):
     n = obj.num_vars
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (perm, n))
-    # slot i of a key (0: the degree, i: z_i) moves to slot perm[i], one
-    # column at a time over the joined key bytes: whole slots move, so the
-    # byte order of the array does not matter
-    size = _layout(n).size
-    slots = array("H", b"".join([k.to_bytes(size, "big") for k in obj._terms]))
-    moved = array("H", slots)
-    for i, j in enumerate(perm, start=1):
-        moved[j::n + 1] = slots[i::n + 1]
-    data, from_bytes = moved.tobytes(), int.from_bytes
-    keys = [from_bytes(data[o:o + size], "big")
-            for o in range(0, len(data), size)]
+    keys = next(_permuted_keys(obj._terms, n, [perm]))
     return IntPolynomial._trusted(n, dict(zip(keys, obj._terms.values())),
                                   obj.max_total_degree)
+
+
+def _permuted_keys(keys, n, perms):
+    """For each permutation of `perms`, the list of `keys` with the exponent
+    of z_i moved to z_perm[i], in the order of `keys`.
+
+    Slot i of a key (0: the degree, i: z_i) moves to slot perm[i], one
+    column at a time over the joined key bytes, read into slots once for
+    all permutations: whole slots move, so the byte order of the array
+    does not matter."""
+    size = _layout(n).size
+    slots = array("H", b"".join([k.to_bytes(size, "big") for k in keys]))
+    moved = array("H", slots)  # the degree slot never moves
+    from_bytes = int.from_bytes
+    for perm in perms:
+        for i, j in enumerate(perm, start=1):
+            moved[j::n + 1] = slots[i::n + 1]
+        data = moved.tobytes()
+        yield [from_bytes(data[o:o + size], "big")
+               for o in range(0, len(data), size)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ tree's own leaves.
 The gradation of an element restricts it to the leaf edges.  The number
 of elements in a gradation equals the number of multisets of leaf pairs
 that add up to it with no pair strictly embracing another
-(i < i' < j' < j); count_gradation() walks those multisets one by one,
-each read off how many of every leaf's units are right ends, without any
-tree, and serves as the independent oracle for the series coefficients.
+(i < i' < j' < j); count_gradation() walks those multisets, each read
+off how many of every leaf's units are right ends, without any tree, and
+serves as the independent oracle for the series coefficients.  The walk
+stops at the third-to-last nonzero leaf, where each choice left fixes
+one multiset, and adds the number of those choices.
 enumerate_gradation_elements() lists the elements of a gradation on a
 tree as the lattice points of its toric fibre: edge values with the
 gradation on the leaves whose three values at every inner vertex have an
@@ -33,7 +35,7 @@ from itertools import accumulate, combinations
 from .trees import classify_intersection
 
 #: Largest count the CLI's dim walks with count_gradation, whose time is
-#: O(count * n).
+#: O(count * n): (1,)*22, count 58,786, takes 0.03 s on a shared 2-vCPU VM.
 DIM_LIMIT = 100_000
 
 
@@ -219,15 +221,16 @@ def gradation(tree, values):
 
 
 def _grading(n, lam):
-    """lam as a tuple of n entries, or None when it grades nothing (a
-    negative entry or an odd total); a non-int total raises TypeError."""
+    """lam as a tuple of n entries, or None when it grades nothing (an
+    odd total or a negative entry); a non-int entry, a bool included,
+    raises TypeError."""
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
     total = sum(lam)
-    if not isinstance(total, int):
+    if not isinstance(total, int) or bool in map(type, lam):
         raise TypeError("grading %r has a non-int entry" % (lam,))
-    if min(lam, default=0) < 0 or total % 2:
+    if total % 2 or min(lam, default=0) < 0:
         return None
     return lam
 
@@ -242,12 +245,16 @@ def count_gradation(n, lam):
     ends still open before leaf k, the b_k are valid exactly when
     0 <= b_k <= min(lam_k, h_k), h_{k+1} = h_k + lam_k - 2 b_k, h_1 = 0 and
     h_{n+1} = 0.  The h from which 0 is still reachable form an interval
-    [lo_k, hi_k], computed in one backward pass: hi_k = hi_{k+1} + lam_k and
+    [lo_k, hi_k], computed in one backward pass over the nonzero leaves (a
+    zero entry leaves h as it is): hi_k = hi_{k+1} + lam_k and
     lo_k = max(0, lo_{k+1} - lam_k, lam_k - hi_{k+1}).  The walk keeps each
     h_{k+1} in its interval, so it has no dead branch.  At the last nonzero
     leaf lo = hi = lam_last, so an h in the interval of the one before it
-    fixes b at both: the walk reaches that second-to-last nonzero leaf
-    once per multiset, in time O(count * n).
+    fixes b at both.  So at the third-to-last nonzero leaf each b in its
+    range(first, last + 1) fixes the b of the last two leaves, one
+    multiset each, and the walk adds the length of that range instead of
+    visiting each child: it reaches that leaf at most once per multiset,
+    in time O(count * n).
 
     Pure lattice combinatorics, independent of any tree or series; this is
     the oracle the series methods are checked against.
@@ -255,31 +262,35 @@ def count_gradation(n, lam):
     lam = _grading(n, lam)
     if lam is None:
         return 0
-    lam = [v for v in lam if v]  # a zero entry leaves h as it is
-    if not lam:
-        return 1
-    steps = []  # steps[k] = (lam_k, lo_{k+1}, hi_{k+1}), built backwards
+    steps = []  # (lam_k, lo_{k+1}, hi_{k+1}) per nonzero leaf, backwards
     lo = hi = 0
     for v in reversed(lam):
-        steps.append((v, lo, hi))
-        lo, hi = max(0, lo - v, v - hi), hi + v
+        if v:  # a zero entry leaves h as it is
+            steps.append((v, lo, hi))
+            lo = v - hi if v > hi else lo - v if lo > v else 0
+            hi += v
     if lo:
         return 0
+    if len(steps) < 3:  # no nonzero leaf, or two equal ones
+        return 1
     steps.reverse()
-    end = len(lam) - 2  # the second-to-last nonzero leaf
+    end = len(steps) - 3  # the third-to-last nonzero leaf
     count = 0
     stack = [(0, 0)]  # (leaf, open left ends before it), h in [lo, hi]
     push, pop = stack.append, stack.pop
     while stack:
         k, h = pop()
-        if k == end:  # lo = hi = lam_last next: b is forced twice
-            count += 1
-            continue
         v, lo, hi = steps[k]
         top = h + v  # h_{k+1} with b_k = 0; top - hi is even
-        for b in range(max(0, (top - hi) // 2),
-                       min(v, h, (top - lo) // 2) + 1):
-            push((k + 1, top - 2 * b))
+        first = (top - hi) // 2 if top > hi else 0
+        last = h if h < v else v
+        if top - 2 * last < lo:
+            last = (top - lo) // 2
+        if k == end:  # each b fixes the b of the last two leaves
+            count += last - first + 1
+        else:
+            for b in range(first, last + 1):
+                push((k + 1, top - 2 * b))
     return count
 
 

@@ -591,6 +591,56 @@ def test_oracle_check_names_the_first_difference(monkeypatch, grading,
     assert (check.status, check.detail) == ("fail", detail)
 
 
+@pytest.mark.parametrize("exps, coeff, detail", [
+    ((1, 1, 0, 0), None,
+     "first difference at [1, 1, 0, 0]: series 0 vs oracle 1"),
+    ((0, 0, 3, 3), None,  # the last term in canonical order
+     "first difference at [0, 0, 3, 3]: series 0 vs oracle 1"),
+    ((1, 0, 0, 0), 1,
+     "first difference at [1, 0, 0, 0]: series 1 vs oracle 0"),
+    ((3, 0, 0, 1), 0, None),
+])
+def test_oracle_check_compares_every_term(exps, coeff, detail):
+    # the reference side corrupted: a deleted term and a term at an odd
+    # total fail with the first difference, a stored zero passes
+    terms = dict(series_by_recursion(4, 6)._terms)
+    if coeff is None:
+        del terms[polyring._pack(exps)]
+    else:
+        terms[polyring._pack(exps)] = coeff
+    check = _oracle_check(IntPolynomial._trusted(4, terms, 6), 1)
+    if detail is None:
+        assert (check.status, check.detail) == ("pass",
+                                                "210 gradings checked")
+    else:
+        assert (check.status, check.detail) == ("fail", detail)
+
+
+def test_permutation_check_names_the_permutation_that_moves(monkeypatch):
+    import grasshilb.hilbert as hilbert_module
+
+    real = hilbert_module.series_by_recursion
+
+    def lopsided(n, cap):
+        # R + z_i^2 z_j over all i != j, z1^2 z2 twice: the keys are
+        # symmetric, the coefficients are not
+        bumps = {}
+        for i, j in permutations(range(n), 2):
+            bumps[tuple(2 if k == i else int(k == j) for k in range(n))] = 1
+        bumps[(2, 1) + (0,) * (n - 2)] = 2
+        return real(n, cap) + TruncatedSeries(n, cap, bumps)
+
+    monkeypatch.setattr(hilbert_module, "series_by_recursion", lopsided)
+    check = cross_validate(4, 6).checks[-1]
+    rng = random.Random(hilbert_module._PERMUTATION_SEED)
+    first = list(range(1, 5))
+    rng.shuffle(first)
+    assert first[:2] != [1, 2]  # so it moves z1^2 z2 onto another bump
+    assert (check.name, check.status, check.detail) == (
+        "permutation-invariance", "fail",
+        "series moved under permutation %r" % (first,))
+
+
 def test_cross_validate_detects_corruption(monkeypatch):
     import grasshilb.hilbert as hilbert_module
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import grasshilb
+from grasshilb.polyring import iter_exponents
 from grasshilb.semigroup import (
     NotInSemigroupError,
     PathMultiset,
@@ -105,6 +106,13 @@ def test_non_int_inputs_are_refused():
             count_gradation(2, lam)
     with pytest.raises(TypeError, match="non-int entry"):
         enumerate_gradation_elements(t, (1.0, 0.0, 0.0))
+    # a bool entry too, though its total is an int: before any edge is named
+    with pytest.raises(TypeError, match=r"grading \(True, True\) has a "
+                                        "non-int entry"):
+        count_gradation(2, (True, True))
+    with pytest.raises(TypeError, match=r"grading \(True, True, False\) "
+                                        "has a non-int entry"):
+        enumerate_gradation_elements(t, (True, True, False))
 
 
 def test_decompose_self_check_survives_optimize():
@@ -315,6 +323,16 @@ def test_count_gradation_matches_closed_form_at_reach():
             gradings.append(lam)
     for lam in gradings:
         assert count_gradation(len(lam), lam) == _two_row_count(lam), lam
+
+
+def test_count_gradation_matches_closed_form_on_every_grading():
+    # every grading of (n, cap) = (7, 10): the walk ends at the
+    # third-to-last nonzero leaf, so from three nonzero leaves on it adds
+    # the length of a range of b instead of visiting each child
+    gradings = list(iter_exponents(7, 10))
+    assert len(gradings) == 19448
+    for lam in gradings:
+        assert count_gradation(7, lam) == _two_row_count(lam), lam
 
 
 def test_count_gradation_has_no_dead_branches():
