@@ -16,7 +16,7 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 a skip, not a failure; a del Pezzo fit that no quadratic form matches
 is a failure), 2 usage or parse error, 3 capacity exceeded,
 4 internal error (the traceback goes to stderr).
-Output is deterministic byte-for-byte, including under --jobs.
+Output is deterministic byte-for-byte.
 `main` parses with the one parser `build_parser` returns, built on the
 first call and reused by every later call in the process.
 """
@@ -167,7 +167,7 @@ def cmd_verify(args):
 
 
 def cross_suite(args):
-    report = hilbert.cross_validate(args.n, args.max_degree, jobs=args.jobs)
+    report = hilbert.cross_validate(args.n, args.max_degree)
     return (["n=%d cap=%d" % (report.n, report.cap)], report.checks,
             report.passed, report.to_json_dict)
 
@@ -290,8 +290,8 @@ def build_parser():
     p.add_argument("--n", type=_positive_leaves, required=True)
     p.add_argument("--max-degree", type=_degree_cap, required=True)
     p.add_argument("--jobs", type=_job_count, default=1,
-                   help="worker processes for the oracle sweep, >= 1; "
-                        "at most one per CPU is started (default: 1)")
+                   help="accepted for compatibility, >= 1; no effect: "
+                        "the oracle runs in the calling process")
     p.set_defaults(func=cmd_verify, suite=cross_suite)
 
     p = vsub.add_parser("delpezzo", parents=[common],

@@ -29,7 +29,6 @@ to name the first difference of a failing check.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -220,8 +219,10 @@ def numerator_inclusion_exclusion(n, tree=None):
     dropped.  The cost is one step per configuration over the live unions,
     233 of them at n = 6 (8,557 at n = 7), not one per subset.  More than
     EXC_LIMIT configurations (n >= 8) raise CapacityError before any tree
-    is built.
+    is built; a bool or other non-int n raises TypeError.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError("n %r is not an int" % (n,))
     if n < 0:
         raise ValueError("n must be non-negative")
     if tree is not None and tree.n_leaves != n:
@@ -401,12 +402,13 @@ def _coefficient_polynomials(stage, n):
 # cross-validation
 
 
-def cross_validate(n, max_total_degree, jobs=1):
+def cross_validate(n, max_total_degree):
     """Check the independent methods against each other through the cap.
 
     The recursion series R is the reference: the inclusion-exclusion and
     symmetric-recursion numerators are checked against it, the oracle
-    counts every grading, and R must not move under _PERMUTATIONS seeded
+    counts every grading, one semigroup.count_gradation call each in the
+    calling process, and R must not move under _PERMUTATIONS seeded
     variable permutations.  A numerator F is checked in numerator form,
     truncate(F, cap) against R * P with P = prod_{i<j} (1 - z_i z_j),
     computed once, the first time a numerator route returns.  That is
@@ -427,7 +429,7 @@ def cross_validate(n, max_total_degree, jobs=1):
         _series_check("recursion-vs-symmetric-recursion-conjectural",
                       reference, times_pairs,
                       lambda: numerator_symmetric_recursion(n)),
-        _oracle_check(reference, jobs),
+        _oracle_check(reference),
     ]
 
     rng = random.Random(_PERMUTATION_SEED)
@@ -476,29 +478,11 @@ def _series_check(name, reference, times_pairs, build):
         list(e), expected.coefficient(e), got.coefficient(e)))
 
 
-def _pool_size(jobs, cpus):
-    """Worker processes for `jobs` requested on `cpus` CPUs (None when
-    unknown, as os.cpu_count() may report): never more than one per CPU."""
-    return min(jobs, cpus or 1)
-
-
-def _oracle_check(reference, jobs):
+def _oracle_check(reference):
     n = reference.num_vars
     cap = reference.max_total_degree
     lams = list(iter_exponents(n, cap))
-    counts = None
-    workers = _pool_size(jobs, os.cpu_count())
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                counts = list(pool.map(
-                    semigroup.count_gradation, [n] * len(lams), lams,
-                    chunksize=max(1, len(lams) // (workers * 8))))
-        except OSError:
-            counts = None
-    if counts is None:
-        counts = [semigroup.count_gradation(n, lam) for lam in lams]
+    counts = [semigroup.count_gradation(n, lam) for lam in lams]
     # the gradings and the reference's canonical keys share one order, so
     # when the nonzero counts are the reference's terms one lazy pass over
     # both shows it; otherwise each grading is looked up, within the cap,
@@ -507,10 +491,8 @@ def _oracle_check(reference, jobs):
     if len(keys) != len(counts) - counts.count(0) or not all(map(
             eq, filter(itemgetter(1), zip(lams, counts)),
             zip(polyring._exponents(keys, n), map(terms.__getitem__, keys)))):
-        from_bytes, pack = int.from_bytes, polyring._layout(n).pack
         for lam, expected in zip(lams, counts):
-            got = terms.get(from_bytes(pack(sum(lam), *lam), "big"), 0)
-            if got != expected:
+            if (got := reference.coefficient(lam)) != expected:
                 return CheckResult(
                     "oracle-dimensions", "fail",
                     "first difference at %r: series %d vs oracle %d"

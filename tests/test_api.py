@@ -1,4 +1,4 @@
-"""The public API list of the package, and a rule its source keeps."""
+"""The public API list of the package, and rules its source keeps."""
 
 import ast
 from pathlib import Path
@@ -15,12 +15,34 @@ def test_all_names_are_bound_and_listed_once():
     assert set(names) <= set(namespace)
 
 
+def _source_nodes():
+    """(file name, node) for every syntax node of the package's modules."""
+    sources = sorted(Path(grasshilb.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    return [(path.name, node) for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))]
+
+
 def test_source_checks_raise_instead_of_assert():
     # python -O strips assert statements, and a correctness check must
     # still run there
-    sources = sorted(Path(grasshilb.__file__).parent.glob("*.py"))
-    assert len(sources) > 5
-    found = ["%s:%d" % (path.name, node.lineno) for path in sources
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    found = ["%s:%d" % (name, node.lineno) for name, node in _source_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_starts_no_processes_or_threads():
+    # every route runs in the calling process: no module imports a
+    # process or thread API, at module level or inside a function
+    banned = {"concurrent", "multiprocessing", "subprocess", "threading"}
+    found = []
+    for name, node in _source_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += ["%s:%d %s" % (name, node.lineno, module)
+                  for module in modules if module.split(".")[0] in banned]
     assert found == []

@@ -16,7 +16,6 @@ from grasshilb.hilbert import (
     _coefficient_polynomials,
     _flatten,
     _oracle_check,
-    _pool_size,
     _split_step,
     cross_validate,
     excluded_configurations,
@@ -239,6 +238,16 @@ def test_numerator_ie_general_tree_equals_caterpillar():
         t = random_tree(5, rng)
         assert numerator_inclusion_exclusion(5, tree=t) == \
             golden_numerator(5)
+
+
+def test_numerator_ie_refuses_a_non_int_n():
+    # True would pass `n < 0` and the capacity guard as 1; 2.0 would
+    # reach math.comb
+    for n in (True, 2.0):
+        with pytest.raises(TypeError, match=r"^n %r is not an int$" % n):
+            numerator_inclusion_exclusion(n)
+    with pytest.raises(ValueError):
+        numerator_inclusion_exclusion(-1)
 
 
 def test_numerator_capacity_error():
@@ -524,12 +533,6 @@ def test_cross_validate_json_schema():
         assert set(check) == {"name", "status", "detail"}
 
 
-def test_cross_validate_deterministic_across_jobs():
-    serial = cross_validate(4, 8, jobs=1)
-    parallel = cross_validate(4, 8, jobs=3)
-    assert serial.to_json_dict() == parallel.to_json_dict()
-
-
 def test_reference_does_not_share_the_pair_sweep(monkeypatch):
     # the numerator checks compare against the reference times the pair
     # factors: a wrong product fails both, and the reference itself,
@@ -567,14 +570,6 @@ def test_numerator_check_fails_when_the_kernels_disagree(monkeypatch):
     assert checks["oracle-dimensions"].status == "pass"
 
 
-def test_pool_size_never_exceeds_cpu_count():
-    assert _pool_size(1, 8) == 1
-    assert _pool_size(3, 8) == 3
-    assert _pool_size(3, 2) == 2
-    assert _pool_size(10 ** 6, 2) == 2
-    assert _pool_size(4, None) == 1
-
-
 @pytest.mark.parametrize("grading, detail", [
     ((1, 0, 0, 0), "first difference at [1, 0, 0, 0]: series 0 vs oracle 1"),
     ((1, 1, 0, 0), "first difference at [1, 1, 0, 0]: series 1 vs oracle 2"),
@@ -587,7 +582,7 @@ def test_oracle_check_names_the_first_difference(monkeypatch, grading,
         return real(n, lam) + (tuple(lam) == grading)
 
     monkeypatch.setattr(semigroup, "count_gradation", off_by_one)
-    check = _oracle_check(series_by_recursion(4, 6), 1)
+    check = _oracle_check(series_by_recursion(4, 6))
     assert (check.status, check.detail) == ("fail", detail)
 
 
@@ -608,7 +603,7 @@ def test_oracle_check_compares_every_term(exps, coeff, detail):
         del terms[polyring._pack(exps)]
     else:
         terms[polyring._pack(exps)] = coeff
-    check = _oracle_check(IntPolynomial._trusted(4, terms, 6), 1)
+    check = _oracle_check(IntPolynomial._trusted(4, terms, 6))
     if detail is None:
         assert (check.status, check.detail) == ("pass",
                                                 "210 gradings checked")
