@@ -119,8 +119,11 @@ def series_by_recursion(n, max_total_degree):
 
 
 def _check_request(what, n, cap, degrees):
-    """Refuse n < 2 and, up front with CapacityError, a request past
-    SWEEP_LIMIT cells or RECURSION_LIMIT key slots in cells of `degrees`."""
+    """Refuse a non-int n, n < 2 and, up front with CapacityError, a
+    request past SWEEP_LIMIT cells or RECURSION_LIMIT key slots in cells
+    of `degrees`."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError("num_vars %r is not an int" % (n,))
     if n < 2:
         raise ValueError("need n >= 2")
     polyring._check_sweep(n, cap)  # C(cap + n, n) bounds the output
@@ -330,8 +333,11 @@ def numerator_symmetric_recursion(n):
 
     Coefficient vectors carry n+1 slots; the three slots past the end are
     checked to vanish so silent truncation cannot go unnoticed.  n past
-    SYM_LIMIT is refused up front with CapacityError.
+    SYM_LIMIT is refused up front with CapacityError; a bool or other
+    non-int n raises TypeError.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError("n %r is not an int" % (n,))
     if n < 2:
         raise ValueError("need n >= 2")
     if n > SYM_LIMIT:
@@ -437,13 +443,16 @@ def cross_validate(n, max_total_degree):
     for perm in perms:
         rng.shuffle(perm)
     # a permutation is a bijection on the keys: the series stays put when
-    # each permuted key holds the coefficient its key holds
+    # each permuted key holds the coefficient its key holds (by key bytes,
+    # the identity's first)
     terms = reference._terms
     values = list(terms.values())
+    rows = polyring._permuted_rows(terms, n, [range(1, n + 1)] + perms)
+    coefficient = dict(zip(next(rows), values)).get
     status, detail = "pass", "%d permutations: %s" % (
         len(perms), " ".join(str(tuple(p)) for p in perms))
-    for perm, keys in zip(perms, polyring._permuted_keys(terms, n, perms)):
-        if list(map(terms.get, keys)) != values:
+    for perm, permuted in zip(perms, rows):
+        if list(map(coefficient, permuted)) != values:
             status = "fail"
             detail = "series moved under permutation %r" % (perm,)
             break
@@ -482,7 +491,7 @@ def _oracle_check(reference):
     n = reference.num_vars
     cap = reference.max_total_degree
     lams = list(iter_exponents(n, cap))
-    counts = [semigroup.count_gradation(n, lam) for lam in lams]
+    counts = list(map(semigroup.count_gradation, repeat(n), lams))
     # the gradings and the reference's canonical keys share one order, so
     # when the nonzero counts are the reference's terms one lazy pass over
     # both shows it; otherwise each grading is looked up, within the cap,

@@ -502,16 +502,20 @@ def permute_variables(obj, perm):
     """
     perm = tuple(perm)
     n = obj.num_vars
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in perm):
+        raise TypeError("permutation %r has a non-int entry" % (perm,))
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (perm, n))
-    keys = next(_permuted_keys(obj._terms, n, [perm]))
+    rows = next(_permuted_rows(obj._terms, n, [perm]))
+    keys = [int.from_bytes(row, "big") for row in rows]
     return IntPolynomial._trusted(n, dict(zip(keys, obj._terms.values())),
                                   obj.max_total_degree)
 
 
-def _permuted_keys(keys, n, perms):
-    """For each permutation of `perms`, the list of `keys` with the exponent
-    of z_i moved to z_perm[i], in the order of `keys`.
+def _permuted_rows(keys, n, perms):
+    """For each permutation of `perms`, the big-endian bytes of `keys`, one
+    row per key in the order of `keys`, with the exponent of z_i moved to
+    z_perm[i].
 
     Slot i of a key (0: the degree, i: z_i) moves to slot perm[i], one
     column at a time over the joined key bytes, read into slots once for
@@ -520,13 +524,11 @@ def _permuted_keys(keys, n, perms):
     size = _layout(n).size
     slots = array("H", b"".join([k.to_bytes(size, "big") for k in keys]))
     moved = array("H", slots)  # the degree slot never moves
-    from_bytes = int.from_bytes
+    rows = struct.Struct("%ds" % size * len(keys)).unpack
     for perm in perms:
         for i, j in enumerate(perm, start=1):
             moved[j::n + 1] = slots[i::n + 1]
-        data = moved.tobytes()
-        yield [from_bytes(data[o:o + size], "big")
-               for o in range(0, len(data), size)]
+        yield rows(moved.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ that add up to it with no pair strictly embracing another
 (i < i' < j' < j); count_gradation() walks those multisets, each read
 off how many of every leaf's units are right ends, without any tree, and
 serves as the independent oracle for the series coefficients.  The walk
-stops at the third-to-last nonzero leaf, where each choice left fixes
-one multiset, and adds the number of those choices.
+starts at the second nonzero leaf, as the first has no choice, and stops
+at the third-to-last, where each choice left fixes one multiset, and adds
+the number of those choices.
 enumerate_gradation_elements() lists the elements of a gradation on a
 tree as the lattice points of its toric fibre: edge values with the
 gradation on the leaves whose three values at every inner vertex have an
@@ -248,35 +249,46 @@ def count_gradation(n, lam):
     [lo_k, hi_k], computed in one backward pass over the nonzero leaves (a
     zero entry leaves h as it is): hi_k = hi_{k+1} + lam_k and
     lo_k = max(0, lo_{k+1} - lam_k, lam_k - hi_{k+1}).  The walk keeps each
-    h_{k+1} in its interval, so it has no dead branch.  At the last nonzero
-    leaf lo = hi = lam_last, so an h in the interval of the one before it
-    fixes b at both.  So at the third-to-last nonzero leaf each b in its
-    range(first, last + 1) fixes the b of the last two leaves, one
-    multiset each, and the walk adds the length of that range instead of
-    visiting each child: it reaches that leaf at most once per multiset,
-    in time O(count * n).
+    h_{k+1} in its interval, so it has no dead branch.  At the first
+    nonzero leaf h = 0 forces b = 0, so the walk starts at the second with
+    h = lam_first.  At the last nonzero leaf lo = hi = lam_last, so an h
+    in the interval of the one before it fixes b at both.  So at the
+    third-to-last nonzero leaf each b in its range(first, last + 1) fixes
+    the b of the last two leaves, one multiset each, and the walk adds the
+    length of that range instead of visiting each child: it reaches that
+    leaf at most once per multiset, in time O(count * n).  With at most
+    three nonzero leaves every b is forced: one multiset if h_1 = 0 is in
+    the first interval.  An odd total or a negative entry gives 0, once a
+    wrong length (ValueError) and a non-int entry (TypeError) are refused.
 
     Pure lattice combinatorics, independent of any tree or series; this is
     the oracle the series methods are checked against.
     """
-    lam = _grading(n, lam)
-    if lam is None:
+    lam = tuple(lam)
+    if len(lam) != n:
+        raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
+    total = sum(lam)
+    if not isinstance(total, int) or bool in map(type, lam):
+        raise TypeError("grading %r has a non-int entry" % (lam,))
+    if total & 1:
         return 0
     steps = []  # (lam_k, lo_{k+1}, hi_{k+1}) per nonzero leaf, backwards
     lo = hi = 0
     for v in reversed(lam):
-        if v:  # a zero entry leaves h as it is
+        if v > 0:  # a zero entry leaves h as it is
             steps.append((v, lo, hi))
             lo = v - hi if v > hi else lo - v if lo > v else 0
             hi += v
+        elif v:
+            return 0
     if lo:
         return 0
-    if len(steps) < 3:  # no nonzero leaf, or two equal ones
+    if len(steps) < 4:  # at most three nonzero leaves: every b is forced
         return 1
     steps.reverse()
     end = len(steps) - 3  # the third-to-last nonzero leaf
     count = 0
-    stack = [(0, 0)]  # (leaf, open left ends before it), h in [lo, hi]
+    stack = [(1, steps[0][0])]  # (leaf, open left ends before it)
     push, pop = stack.append, stack.pop
     while stack:
         k, h = pop()

@@ -285,6 +285,20 @@ def test_verify_cross(capsys):
     assert all(c["status"] == "pass" for c in data["checks"])
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--n", "7", "--max-degree", "10"],
+     "6088a702ada1d75f7fa63320e767a28e88e2f2f85292cd99d34a98409e8115ab"),
+    (["--n", "6", "--max-degree", "10", "--format", "json"],
+     "0240938f479947a7c996abac4c52ec5f77cc80077a704b689b686e0411c2ceda"),
+])
+def test_verify_cross_output_pinned(capsys, argv, digest):
+    # every check's detail byte for byte: the oracle's 19,448 and 8,008
+    # gradings, the coefficient counts and the permutations tried
+    code, out, _ = run_cli(capsys, "verify", "cross", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_cross_skips_a_route_refused_for_capacity(capsys):
     code, out, _ = run_cli(capsys, "verify", "cross", "--n", "8",
                            "--max-degree", "4")

@@ -250,6 +250,34 @@ def test_numerator_ie_refuses_a_non_int_n():
         numerator_inclusion_exclusion(-1)
 
 
+def test_numerator_sym_refuses_a_non_int_n():
+    # 2.0 would fail deep in the recursion, True would read as 1
+    for n in (True, 2.0, 3.0):
+        with pytest.raises(TypeError, match=r"^n %r is not an int$" % n):
+            numerator_symmetric_recursion(n)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        numerator_symmetric_recursion(1)
+
+
+def test_series_by_recursion_checks_the_type_of_n_first():
+    for n in (True, False, 2.0):
+        with pytest.raises(TypeError,
+                           match=r"^num_vars %r is not an int$" % n):
+            series_by_recursion(n, 4)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            series_by_recursion(n, 4)
+
+
+def test_cross_validate_checks_the_type_of_n_first():
+    for n in (True, 2.0):
+        with pytest.raises(TypeError,
+                           match=r"^num_vars %r is not an int$" % n):
+            cross_validate(n, 2)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        cross_validate(1, 2)
+
+
 def test_numerator_capacity_error():
     assert len(embracing_configurations(8)) == 70 > EXC_LIMIT
     with pytest.raises(CapacityError):

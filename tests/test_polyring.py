@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 from itertools import permutations, product
 
@@ -424,6 +425,11 @@ def test_permute_variables_moves_whole_slots_of_a_series():
                 permute_variables(s, composed)
     for bad in [(1, 2, 3), (1, 2, 3, 3), (0, 1, 2, 3)]:
         with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            permute_variables(s, bad)
+    # True == 1 and 4.0 == 4 would pass the sort, "1" would not sort
+    for bad in [(True, 2, 3, 4), (1, 2, 3, 4.0), (1, 2, 3, "4")]:
+        with pytest.raises(TypeError, match=r"^permutation %s has a non-int "
+                                            "entry$" % re.escape(repr(bad))):
             permute_variables(s, bad)
 
 

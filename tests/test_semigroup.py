@@ -259,6 +259,36 @@ def test_count_gradation_frozen():
         count_gradation(4, [1, 1, 0])
 
 
+def test_count_gradation_validation_order():
+    # a negative entry grades nothing wherever it sits, also where the
+    # other entries alone would grade one multiset (even totals)
+    for lam in [(-2, 1, 1), (1, -2, 1, 2), (1, 1, -2), (2, -2, 2),
+                (-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, 2, 2, 2, 2)]:
+        assert count_gradation(len(lam), lam) == 0, lam
+    # the entry types are checked before the odd total returns 0
+    for lam in [(1.0, 0, 0), (0, 1.5, 1.5), (True, 0, 0), (True, True, True),
+                (1, 2, False)]:
+        with pytest.raises(TypeError, match="non-int entry"):
+            count_gradation(3, lam)
+    # and the length before either
+    for lam in [(1.0, 0), (True, True), (-1, 2), (1, 2)]:
+        with pytest.raises(ValueError, match="expected 3 grading entries"):
+            count_gradation(3, lam)
+
+
+def test_count_gradation_with_three_or_four_nonzero_leaves():
+    # every b is forced through three nonzero leaves, and from four on the
+    # walk starts at the second nonzero leaf
+    for n in range(3, 9):
+        for m in (3, 4):
+            for support in combinations(range(n), m):
+                for values in product(range(1, 7), repeat=m):
+                    lam = [0] * n
+                    for i, v in zip(support, values):
+                        lam[i] = v
+                    assert count_gradation(n, lam) == _two_row_count(lam), lam
+
+
 def pair_walk_count(n, lam):
     """Multisets of pairs (i, j), i < j <= n, with grading sum lam and no
     pair embracing another, built pair by pair in lexicographic order: a
