@@ -22,15 +22,14 @@ SWEEP_LIMIT cells, C(cap + n, n), raises CapacityError up front.
 
 iter_json_text writes the JSON of to_json_dict with indent 2 directly,
 byte for byte, and iter_text the text of format_terms, each in pieces
-of _CHUNK terms, so no more than one piece is held at a time.  Beside
-it a call keeps only its cache of rendered parts: at most one per
-distinct variable power (text) or exponent group (JSON).  A JSON piece
-is one %-format of a repeated per-term template.  With _GROUPED_VARS or
-more variables a term is the cached rows of its two exponent groups,
-the first n - n//2 key slots and the last n//2, plus its coefficient;
-with fewer, each exponent is formatted on its own.  The cache is a gain
-only where groups repeat, as they do in the series and numerators of
-W_n measured; on a store whose groups are all distinct it is slower.
+of _CHUNK terms, so no more than one piece is held at a time.  Both
+render a term from its two exponent groups, the first n - n//2 key
+slots and the last n//2, each distinct group rendered once per call;
+beside the piece a call keeps only that cache.  A JSON piece is one
+%-format of a repeated per-term template.  The cache is a gain where
+groups of several slots repeat, as in the series and numerators of W_n
+from four variables on; where groups are all distinct, or one or two
+slots, it is slower than formatting each exponent anew.
 """
 
 from __future__ import annotations
@@ -561,46 +560,63 @@ def _canonical_terms(obj):
                     map(obj._terms.__getitem__, keys)))
 
 
-def _key_runs(obj):
-    """The canonical keys of a store in runs of at most _CHUNK, each with
-    the run's joined big-endian key bytes."""
-    keys = _canonical_keys(obj)
-    size = _layout(obj.num_vars).size
-    for start in range(0, len(keys), _CHUNK):
-        run = keys[start:start + _CHUNK]
-        yield run, b"".join([k.to_bytes(size, "big") for k in run])
+class _Groups(dict):
+    """The renderings of one exponent group, its `size` slots from z_first
+    on, by the group's key bytes, each made on first use by the function
+    renderer(first, size) gives for the group's exponent tuple."""
 
+    def __init__(self, renderer, first, size):
+        super().__init__()
+        self.render = renderer(first, size)
+        self.unpack = struct.Struct(">%dH" % size).unpack
 
-class _Powers(dict):
-    """The factor strings of one variable by exponent, "z3" or "z3^e",
-    each formatted on first use."""
-
-    def __init__(self, index):
-        super().__init__({1: "z%d" % index})
-        self.name = "z%d" % index
-
-    def __missing__(self, e):
-        text = self[e] = "%s^%d" % (self.name, e)
+    def __missing__(self, group):
+        text = self[group] = self.render(self.unpack(group))
         return text
 
 
+def _group_runs(obj, renderer):
+    """The canonical keys of a store in runs of at most _CHUNK, each with
+    one list per exponent group of its terms' renderings of that group.
+    A key's groups are its first n - n//2 exponent slots (z1 on) and its
+    last n//2, an empty group left out; each distinct group is rendered
+    once per call, as _Groups renders it."""
+    n = obj.num_vars
+    cut = n - n // 2  # the first group is z1..z_cut
+    spans = [(first, size) for first, size in ((1, cut), (cut + 1, n // 2))
+             if size]
+    groups = [_Groups(renderer, first, size) for first, size in spans]
+    term = "2x" + "".join(["%ds" % (2 * size) for _, size in spans])
+    keys = _canonical_keys(obj)
+    size = _layout(n).size
+    for start in range(0, len(keys), _CHUNK):
+        run = keys[start:start + _CHUNK]
+        data = struct.unpack(">" + term * len(run),  # 2x skips the degree
+                             b"".join([k.to_bytes(size, "big") for k in run]))
+        yield run, [list(map(g.__getitem__, data[i::len(groups)]))
+                    for i, g in enumerate(groups)]
+
+
+def _text_factors(first, size):
+    names = ["*z%d" % i for i in range(first, first + size)]
+    return lambda exps: "".join([z if e == 1 else "%s^%d" % (z, e)
+                                 for z, e in zip(names, exps) if e])
+
+
 def iter_text(obj):
-    """The text of format_terms in pieces of at most _CHUNK terms.  The
-    factor strings are cached for this call only."""
+    """The text of format_terms in pieces of at most _CHUNK terms.  A
+    term's monomial is its exponent groups' factors, each led by "*"."""
     if not obj._terms:
         yield "0"
         return
-    iter_unpack = _layout(obj.num_vars).iter_unpack
-    powers = [_Powers(i) for i in range(1, obj.num_vars + 1)]
+    coefficient = obj._terms.__getitem__
     sep = ""
-    for run, data in _key_runs(obj):
+    for run, columns in _group_runs(obj, _text_factors):
         parts = []
-        for slots, c in zip(iter_unpack(data),
-                            map(obj._terms.__getitem__, run)):
-            mono = "*".join([p[e] for p, e in zip(powers, slots[1:]) if e])
-            if c != 1 and c != -1:
-                mono = "%d*%s" % (abs(c), mono) if mono else "%d" % abs(c)
-            parts.append(("+ " if c > 0 else "- ") + (mono or "1"))
+        for c, *groups in zip(map(coefficient, run), *columns):
+            m = "".join(groups)
+            m = (m[1:] or "1") if c == 1 or c == -1 else "%d%s" % (abs(c), m)
+            parts.append(("+ " if c > 0 else "- ") + m)
         if not sep:  # the first term: no "+ ", and "-" without the space
             first = parts[0]
             parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
@@ -629,75 +645,33 @@ def to_json_dict(obj):
     }
 
 
-class _Rows(dict):
-    """The JSON rows of one group of `size` exponent slots by the group's
-    key bytes, each formatted on first use and ending in `end`."""
-
-    def __init__(self, size, end):
-        super().__init__()
-        self.unpack = struct.Struct(">%dH" % size).unpack
-        self.row = ",\n".join(["        %d"] * size) + end
-
-    def __missing__(self, group):
-        text = self[group] = self.row % self.unpack(group)
-        return text
-
-
-# From this many variables on, iter_json_text renders each exponent group
-# once per call.  That pays only where groups repeat within a call; below
-# it a group is one or two slots, and the cache is slower than formatting
-# them anew even where they repeat (W_3 to cap 40: +25%, W_4 to cap 30:
-# -17%).
-_GROUPED_VARS = 4
+def _json_rows(first, size):
+    return ",\n".join(["        %d"] * size).__mod__
 
 
 def iter_json_text(obj):
     """``json.dumps(to_json_dict(obj), indent=2)`` in pieces, one per
-    _CHUNK terms, each one %-format of a repeated per-term template.
-    With _GROUPED_VARS or more variables a term is two cached
-    exponent-group rows and its coefficient, else its exponents one %d
-    each and its coefficient."""
-    n = obj.num_vars
+    _CHUNK terms, each one %-format of a repeated per-term template: the
+    rows of the term's exponent groups and its coefficient."""
     cap = obj.max_total_degree
     head = ('{\n  "num_vars": %d,\n  "max_total_degree": %s,\n  "terms": '
-            % (n, "null" if cap is None else cap))
+            % (obj.num_vars, "null" if cap is None else cap))
     if not obj._terms:
         yield head + "[]\n}"
         return
     coefficient = obj._terms.__getitem__
-    if n >= _GROUPED_VARS:
-        exps = "[\n%s%s\n      ]"
-        half = n // 2
-        first = _Rows(n - half, ",\n")
-        second = _Rows(half, "")
-        term = "2x%ds%ds" % (2 * (n - half), 2 * half)  # skip the degree
-
-        def values_of(run, data):
-            groups = struct.unpack(">" + term * len(run), data)
-            values = [None] * (3 * len(run))
-            values[0::3] = map(first.__getitem__, groups[0::2])
-            values[1::3] = map(second.__getitem__, groups[1::2])
-            values[2::3] = map(coefficient, run)
-            return values
-    else:
-        exps = "[\n%s\n      ]" % ",\n".join(["        %d"] * n) if n else "[]"
-
-        def values_of(run, data):
-            # the slots of each key are its degree, then e1..en; the
-            # degree slot of key t + 1 takes the coefficient of key t,
-            # the last coefficient goes at the end and the first degree
-            # is dropped
-            values = list(struct.unpack(">%dH" % (len(data) // 2), data))
-            coeffs = list(map(coefficient, run))
-            values[n + 1::n + 1] = coeffs[:-1]
-            values.append(coeffs[-1])
-            del values[0]
-            return values
-    template = '    {\n      "e": %s,\n      "c": "%%d"\n    }' % exps
     sep = head + "[\n"
-    for run, data in _key_runs(obj):
+    for run, columns in _group_runs(obj, _json_rows):
+        width = len(columns) + 1
+        exps = ("[\n%s\n      ]" % ",\n".join(["%s"] * len(columns))
+                if columns else "[]")
+        template = '    {\n      "e": %s,\n      "c": "%%d"\n    }' % exps
+        values = [None] * (width * len(run))
+        for i, column in enumerate(columns):
+            values[i::width] = column
+        values[width - 1::width] = map(coefficient, run)
         yield sep
-        yield ",\n".join([template] * len(run)) % tuple(values_of(run, data))
+        yield ",\n".join([template] * len(run)) % tuple(values)
         sep = ",\n"
     yield "\n  ]\n}"
 

@@ -60,6 +60,23 @@ def test_numerator_sym_at_n8(capsys):
         "3874b4839a0113ef5428f111f8e4ceb0f380f591b5b9f3d7ed59fb52b584504f")
 
 
+def test_numerator_sym_text_at_n8(capsys):
+    # F_8 as text, the writer's bytes at scale
+    code, out, _ = run_cli(capsys, "numerator", "--n", "8", "--method", "sym")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8c327f8f9065854d96965b7f45b4d88867795de5d1e93432a82bac88f27353b5")
+
+
+def test_series_json_in_three_variables(capsys):
+    # W_3 through degree 80 (12,341 terms): groups of one and two slots
+    code, out, _ = run_cli(capsys, "series", "--n", "3", "--max-degree", "80",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2c0e30b5c4a0a8e2531918b1d0eb754e304e5c17f8a95a06c4aa298d91b1dcc4")
+
+
 def test_numerator_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "numerator", "--n", "4", "--method", "ie",
                            "--format", "json")

@@ -278,6 +278,20 @@ def test_cross_validate_checks_the_type_of_n_first():
         cross_validate(1, 2)
 
 
+def test_series_by_recursion_refuses_a_non_int_cap():
+    for cap in (None, 2.0, True):
+        with pytest.raises(TypeError,
+                           match=r"^max_total_degree %r is not an int$" % cap):
+            series_by_recursion(3, cap)
+
+
+def test_cross_validate_refuses_a_non_int_cap():
+    for cap in (None, 2.0, True):
+        with pytest.raises(TypeError,
+                           match=r"^max_total_degree %r is not an int$" % cap):
+            cross_validate(3, cap)
+
+
 def test_numerator_capacity_error():
     assert len(embracing_configurations(8)) == 70 > EXC_LIMIT
     with pytest.raises(CapacityError):

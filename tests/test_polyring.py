@@ -478,10 +478,9 @@ def test_json_text_matches_json_dumps(obj):
 
 
 def test_json_text_matches_json_dumps_random():
-    # from _GROUPED_VARS variables on, the writer renders each key as
-    # two cached exponent groups, the first nv - nv // 2 slots and the
-    # last nv // 2: count those polynomials where one first group recurs
-    # within a call; with fewer it formats every slot
+    # both writers render each key as two cached exponent groups, the
+    # first nv - nv // 2 slots and the last nv // 2: count those
+    # polynomials where one first group recurs within a call
     rng = random.Random(109)
     reused = 0
     for nv in range(13):
@@ -492,9 +491,9 @@ def test_json_text_matches_json_dumps_random():
                 p = truncate(p, rng.randint(0, 6))
             assert "".join(iter_json_text(p)) == json.dumps(to_json_dict(p),
                                                             indent=2)
+            assert format_terms(p) == reference_text(p.terms)
             firsts = [e[:nv - nv // 2] for e in p.terms]
-            reused += (nv >= polyring._GROUPED_VARS
-                       and len(set(firsts)) < len(firsts))
+            reused += nv >= 2 and len(set(firsts)) < len(firsts)
     assert reused >= 30
 
 
