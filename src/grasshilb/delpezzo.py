@@ -51,8 +51,8 @@ class FitInconsistencyError(ValueError):
 
 def _check_coords(divisor, size, what):
     divisor = tuple(divisor)
-    # int, not a subclass: a bool is an int to isinstance
-    if len(divisor) != size or not set(map(type, divisor)) <= {int}:
+    # polyring._check_ints' rule, raising the ValueError this module names
+    if len(divisor) != size or not {int}.issuperset(map(type, divisor)):
         raise ValueError("expected %d integer %s coordinates" % (size, what))
     return divisor
 

@@ -122,12 +122,9 @@ def _check_request(what, n, cap, step):
     """Refuse a non-int n, n < 2, a non-int cap and, up front with
     CapacityError, a request past SWEEP_LIMIT cells or RECURSION_LIMIT key
     slots in cells of the degrees 0, step, 2 step, ... <= cap."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError("num_vars %r is not an int" % (n,))
-    if n < 2:
+    if polyring._check_int(n, "num_vars") < 2:
         raise ValueError("need n >= 2")
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise TypeError("max_total_degree %r is not an int" % (cap,))
+    polyring._check_int(cap, "max_total_degree")
     polyring._check_sweep(n, cap)  # C(cap + n, n) bounds the output
     upto = [(c + 1) * comb(c + n + 1, n - 1) + comb(c + n + 1, n) - 2 * c - 3
             for c in range(-1, cap + 1)]  # sum_{m=2}^{n} (m+1) C(c+m, m)
@@ -225,11 +222,9 @@ def numerator_inclusion_exclusion(n, tree=None):
     dropped.  The cost is one step per configuration over the live unions,
     233 of them at n = 6 (8,557 at n = 7), not one per subset.  More than
     EXC_LIMIT configurations (n >= 8) raise CapacityError before any tree
-    is built; a bool or other non-int n raises TypeError.
+    is built; an n whose type is not int raises TypeError.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError("n %r is not an int" % (n,))
-    if n < 0:
+    if polyring._check_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
     if tree is not None and tree.n_leaves != n:
         raise polyring.DimensionError(
@@ -336,12 +331,10 @@ def numerator_symmetric_recursion(n):
 
     Coefficient vectors carry n+1 slots; the three slots past the end are
     checked to vanish so silent truncation cannot go unnoticed.  n past
-    SYM_LIMIT is refused up front with CapacityError; a bool or other
-    non-int n raises TypeError.
+    SYM_LIMIT is refused up front with CapacityError; an n whose type is
+    not int raises TypeError.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError("n %r is not an int" % (n,))
-    if n < 2:
+    if polyring._check_int(n, "n") < 2:
         raise ValueError("need n >= 2")
     if n > SYM_LIMIT:
         raise CapacityError(

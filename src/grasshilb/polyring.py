@@ -4,7 +4,9 @@ One term store, IntPolynomial, holds both; with a total-degree cap
 (``max_total_degree``) it is a TruncatedSeries, and sums and products
 keep the smaller cap.  Coefficients are Python ints, never rounded.
 Terms are checked where they enter (the public constructors and
-from_json_dict), not on every internal result.
+from_json_dict), not on every internal result.  An int argument of any
+public call must have type int: a bool, a float, an int subclass such
+as IntEnum or a numpy int raises TypeError (_check_int, _check_ints).
 
 Terms map a packed key to the coefficient: z1^e1 ... zn^en is one int
 of n + 1 slots, _WIDTH = 16 bits each, holding e1 + ... + en in the top
@@ -121,15 +123,26 @@ def _check_degree(degree, what):
                              % (what, degree, (1 << _WIDTH) - 1))
 
 
+def _check_int(value, what):
+    """`value`, refused with TypeError unless its type is int itself."""
+    if type(value) is not int:
+        raise TypeError("%s %r is not an int" % (what, value))
+    return value
+
+
+def _check_ints(values, what):
+    """The tuple of `values`, each entry held to _check_int's rule."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        raise TypeError("%s %r has a non-int entry" % (what, values))
+    return values
+
+
 def _check_sizes(num_vars, cap=None):
-    if isinstance(num_vars, bool) or not isinstance(num_vars, int):
-        raise TypeError("num_vars %r is not an int" % (num_vars,))
-    if num_vars < 0:
+    if _check_int(num_vars, "num_vars") < 0:
         raise ValueError("num_vars must be non-negative")
     if cap is not None:
-        if isinstance(cap, bool) or not isinstance(cap, int):
-            raise TypeError("max_total_degree %r is not an int" % (cap,))
-        if cap < 0:
+        if _check_int(cap, "max_total_degree") < 0:
             raise ValueError("max_total_degree must be non-negative")
         _check_degree(cap, "max_total_degree")
 
@@ -139,18 +152,13 @@ def _validated_terms(num_vars, terms, cap):
     _check_sizes(num_vars, cap)
     out = {}
     for exps, coeff in terms.items():
-        exps = tuple(exps)
+        exps = _check_ints(exps, "exponent tuple")
         if len(exps) != num_vars:
             raise DimensionError(
                 "exponent tuple %r does not have %d entries" % (exps, num_vars))
-        if not all(isinstance(e, int) and not isinstance(e, bool)
-                   for e in exps):
-            raise TypeError("exponent tuple %r has a non-int entry" % (exps,))
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent in %r" % (exps,))
-        if isinstance(coeff, bool) or not isinstance(coeff, int):
-            raise TypeError("coefficient %r is not an int" % (coeff,))
-        if coeff:
+        if _check_int(coeff, "coefficient"):
             degree = sum(exps)
             if cap is not None and degree > cap:
                 raise PrecisionError(
@@ -217,18 +225,18 @@ class IntPolynomial:
     @staticmethod
     def variable(num_vars, index):
         """The variable z_index, 1-indexed."""
-        if not 1 <= index <= num_vars:
+        _check_sizes(num_vars)
+        if not 1 <= _check_int(index, "variable index") <= num_vars:
             raise DimensionError("variable index %d out of range" % index)
-        exps = [0] * num_vars
-        exps[index - 1] = 1
-        return IntPolynomial.monomial(num_vars, exps)
+        return IntPolynomial._trusted(num_vars,
+                                      {_monomial_key(num_vars, index): 1})
 
     # -- queries
 
     def coefficient(self, exps):
         """Coefficient of z^exps.  For a series this raises PrecisionError
         beyond the cap instead of returning 0."""
-        exps = tuple(exps)
+        exps = _check_ints(exps, "grading")
         if len(exps) != self.num_vars:
             raise DimensionError("grading has %d entries, expected %d"
                                  % (len(exps), self.num_vars))
@@ -392,7 +400,7 @@ def all_pairs(num_vars):
 
 
 def _validate_pair(pair, num_vars):
-    i, j = pair
+    i, j = _check_ints(pair, "pair")
     if not (1 <= i < j <= num_vars):
         raise DimensionError("pair (%d, %d) is not 1 <= i < j <= %d"
                              % (i, j, num_vars))
@@ -499,10 +507,8 @@ def permute_variables(obj, perm):
     exactly once; perm[i-1] is the image of i.  Satisfies
     permute(permute(p, rho), pi) == permute(p, pi o rho).
     """
-    perm = tuple(perm)
+    perm = _check_ints(perm, "permutation")
     n = obj.num_vars
-    if any(isinstance(i, bool) or not isinstance(i, int) for i in perm):
-        raise TypeError("permutation %r has a non-int entry" % (perm,))
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (perm, n))
     rows = next(_permuted_rows(obj._terms, n, [perm]))

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
+from .polyring import _check_int, _check_ints
 from .trees import classify_intersection
 
 #: Largest count the CLI's dim walks with count_gradation, whose time is
@@ -53,17 +54,16 @@ class PathMultiset:
 
     @classmethod
     def from_dict(cls, mapping):
+        items = []
         for pair, m in mapping.items():
-            if isinstance(m, bool) or not isinstance(m, int):
-                raise TypeError("multiplicity %r for pair %r is not an int"
-                                % (m, tuple(pair)))
-        items = tuple(sorted((tuple(p), m) for p, m in mapping.items() if m))
-        for (i, j), m in items:
-            if m < 0:
-                raise ValueError("negative multiplicity for pair (%d, %d)" % (i, j))
-            if i >= j:
-                raise ValueError("pair (%d, %d) is not sorted" % (i, j))
-        return cls(items)
+            i, j = pair = _check_ints(pair, "pair")
+            if _check_int(m, "multiplicity") < 0:
+                raise ValueError("negative multiplicity for pair (%d, %d)" % pair)
+            if not 1 <= i < j:
+                raise ValueError("pair (%d, %d) is not 1 <= i < j" % pair)
+            if m:
+                items.append((pair, m))
+        return cls(tuple(sorted(items)))
 
     def as_dict(self):
         return {pair: mult for pair, mult in self.counts}
@@ -119,7 +119,7 @@ def _check_values(tree, values):
         raise ValueError("expected %d edge values, got %d"
                          % (tree.edge_count, len(values)))
     for k, v in enumerate(values, start=1):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:  # polyring._check_int's rule, naming the edge
             raise TypeError("value %r on edge %d is not an int" % (v, k))
     return values
 
@@ -223,15 +223,13 @@ def gradation(tree, values):
 
 def _grading(n, lam):
     """lam as a tuple of n entries, or None when it grades nothing (an
-    odd total or a negative entry); a non-int entry, a bool included,
-    raises TypeError."""
+    odd total or a negative entry); an entry whose type is not int raises
+    TypeError."""
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
-    total = sum(lam)
-    if not isinstance(total, int) or bool in map(type, lam):
-        raise TypeError("grading %r has a non-int entry" % (lam,))
-    if total % 2 or min(lam, default=0) < 0:
+    _check_ints(lam, "grading")
+    if sum(lam) % 2 or min(lam, default=0) < 0:
         return None
     return lam
 
@@ -267,10 +265,10 @@ def count_gradation(n, lam):
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
-    total = sum(lam)
-    if not isinstance(total, int) or bool in map(type, lam):
+    # polyring._check_ints' rule, inline: this runs once per grading
+    if not {int}.issuperset(map(type, lam)):
         raise TypeError("grading %r has a non-int entry" % (lam,))
-    if total & 1:
+    if sum(lam) & 1:
         return 0
     steps = []  # (lam_k, lo_{k+1}, hi_{k+1}) per nonzero leaf, backwards
     lo = hi = 0

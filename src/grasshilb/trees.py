@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .polyring import CapacityError
+from .polyring import CapacityError, _check_int
 
 #: Most relations ideal_relations() will list (n <= 40): one object each,
 #: and C(60, 4) = 487,635 of them took 8.2 s and 858 MiB RSS as JSON.
@@ -206,7 +206,7 @@ class Tree:
 
 def caterpillar(n):
     """The caterpillar tree on n >= 2 leaves with the canonical numbering."""
-    if n < 2:
+    if _check_int(n, "n") < 2:
         raise ValueError("need n >= 2")
     if n == 2:
         return Tree(2, [(0, 1)], [0, 1])

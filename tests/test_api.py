@@ -31,6 +31,25 @@ def test_source_checks_raise_instead_of_assert():
     assert found == []
 
 
+def test_int_arguments_are_checked_by_type_not_isinstance():
+    # an int argument must have type int itself (polyring._check_int and
+    # _check_ints); isinstance(x, bool) and `bool in map(type, xs)` are the
+    # spellings that let an int subclass through
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    found = []
+    for name, node in _source_nodes():
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and "bool" in names(node.args[1])):
+            found.append("%s:%d isinstance" % (name, node.lineno))
+        elif (isinstance(node, ast.Compare) and "bool" in names(node.left)
+                and any(isinstance(op, (ast.In, ast.NotIn))
+                        for op in node.ops)):
+            found.append("%s:%d bool in" % (name, node.lineno))
+    assert found == []
+
+
 def test_package_starts_no_processes_or_threads():
     # every route runs in the calling process: no module imports a
     # process or thread API, at module level or inside a function

@@ -1,6 +1,7 @@
 """Series and numerator computations, four-way cross-validation."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -240,10 +241,15 @@ def test_numerator_ie_general_tree_equals_caterpillar():
             golden_numerator(5)
 
 
+class _Four(IntEnum):
+    """An int subclass: the int rule refuses it like a bool."""
+    N = 4
+
+
 def test_numerator_ie_refuses_a_non_int_n():
     # True would pass `n < 0` and the capacity guard as 1; 2.0 would
     # reach math.comb
-    for n in (True, 2.0):
+    for n in (True, 2.0, _Four.N):
         with pytest.raises(TypeError, match=r"^n %r is not an int$" % n):
             numerator_inclusion_exclusion(n)
     with pytest.raises(ValueError):
@@ -252,7 +258,7 @@ def test_numerator_ie_refuses_a_non_int_n():
 
 def test_numerator_sym_refuses_a_non_int_n():
     # 2.0 would fail deep in the recursion, True would read as 1
-    for n in (True, 2.0, 3.0):
+    for n in (True, 2.0, 3.0, _Four.N):
         with pytest.raises(TypeError, match=r"^n %r is not an int$" % n):
             numerator_symmetric_recursion(n)
     with pytest.raises(ValueError, match="need n >= 2"):

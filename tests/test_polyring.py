@@ -42,6 +42,10 @@ def random_poly(rng, num_vars, max_terms=6, max_exp=3, max_coeff=9):
     return IntPolynomial(num_vars, terms)
 
 
+class _Int(int):
+    """An int subclass: the int rule refuses it like a bool."""
+
+
 def test_constructors():
     zero = IntPolynomial.zero(3)
     one = IntPolynomial.one(3)
@@ -51,6 +55,20 @@ def test_constructors():
     assert z2.terms == {(0, 1, 0): 1}
     assert IntPolynomial.monomial(2, (1, 4), -3).terms == {(1, 4): -3}
     assert IntPolynomial.monomial(2, (1, 4), 0).terms == {}
+    # True would read as z1, 1.0 would fail on a list index
+    for index in (True, 1.0, _Int(1)):
+        with pytest.raises(TypeError, match=r"^variable index %s is not an "
+                                            "int$" % re.escape(repr(index))):
+            IntPolynomial.variable(2, index)
+    with pytest.raises(TypeError, match=r"^num_vars 2\.0 is not an int$"):
+        IntPolynomial.variable(2.0, 1)
+    with pytest.raises(DimensionError, match="variable index 3 out of range"):
+        IntPolynomial.variable(2, 3)
+    with pytest.raises(ValueError, match="^num_vars must be non-negative$"):
+        IntPolynomial(-1)
+    with pytest.raises(ValueError,
+                       match="^max_total_degree must be non-negative$"):
+        TruncatedSeries(2, -1)
 
 
 def test_zero_coefficients_dropped():
@@ -374,6 +392,15 @@ def test_multiply_by_pair_factors_refuses_what_the_sweep_refuses():
             multiply_by_pair_factors(series, (1, 2), pair)
         with pytest.raises(DimensionError):
             multiply_by_geometric_series(series, (1, 2), pair)
+    # (True, 2) would read as (1, 2), (1, 2.0) would fail on a shift
+    for pair in ((True, 2), (1, 2.0), (_Int(1), 2)):
+        match = r"^pair %s has a non-int entry$" % re.escape(repr(pair))
+        with pytest.raises(TypeError, match=match):
+            multiply_by_pair_factors(series, pair)
+        with pytest.raises(TypeError, match=match):
+            multiply_by_geometric_series(series, pair)
+        with pytest.raises(TypeError, match=match):
+            geometric_expand([pair], 3, 4)
 
 
 def test_geometric_expand_w4_coefficient():
@@ -427,7 +454,8 @@ def test_permute_variables_moves_whole_slots_of_a_series():
         with pytest.raises(ValueError, match="not a permutation of 1..4"):
             permute_variables(s, bad)
     # True == 1 and 4.0 == 4 would pass the sort, "1" would not sort
-    for bad in [(True, 2, 3, 4), (1, 2, 3, 4.0), (1, 2, 3, "4")]:
+    for bad in [(True, 2, 3, 4), (1, 2, 3, 4.0), (1, 2, 3, "4"),
+                (1, 2, 3, _Int(4))]:
         with pytest.raises(TypeError, match=r"^permutation %s has a non-int "
                                             "entry$" % re.escape(repr(bad))):
             permute_variables(s, bad)
@@ -441,6 +469,12 @@ def test_coefficient_at():
     p = IntPolynomial(2, {(1, 1): -4})
     assert p.coefficient((1, 1)) == -4
     assert p.coefficient((5, 5)) == 0
+    # (True, True) would read as (1, 1), (1.0, 1.0) would fail on a shift
+    for exps in ((True, True), (1.0, 1.0), (1, _Int(1))):
+        for obj in (p, s):
+            with pytest.raises(TypeError, match=r"^grading %s has a non-int "
+                               "entry$" % re.escape(repr(exps))):
+                obj.coefficient(exps)
 
 
 def test_json_round_trip_polynomial():
@@ -560,6 +594,8 @@ def test_json_text_is_written_in_bounded_pieces():
     ((2, False), 1, TypeError),
     ((1, 1), True, TypeError),
     ((1, 1), False, TypeError),
+    ((_Int(1), 1), 1, TypeError),
+    ((1, 1), _Int(1), TypeError),
 ])
 def test_terms_checked_at_the_boundary(exps, coeff, error):
     with pytest.raises(error):
@@ -574,8 +610,10 @@ def test_terms_checked_at_the_boundary(exps, coeff, error):
             from_json_dict(data)
 
 
-@pytest.mark.parametrize("num_vars, cap", [(2, 4.5), (2.0, 4), (2.0, None),
-                                           (2, True), (True, 4), (True, None)])
+@pytest.mark.parametrize("num_vars, cap", [
+    (2, 4.5), (2.0, 4), (2.0, None), (2, True), (True, 4), (True, None),
+    pytest.param(_Int(2), None, id="subclass-None"),
+    pytest.param(2, _Int(4), id="2-subclass")])
 def test_sizes_checked_at_the_boundary(num_vars, cap):
     # a bool is an int to isinstance, but json.dumps writes it as true
     with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations, product
@@ -100,6 +101,23 @@ def test_non_int_inputs_are_refused():
     with pytest.raises(TypeError, match="multiplicity True"):
         PathMultiset.from_json_dict({"pairs": [{"i": 1, "j": 2,
                                                 "mult": True}]})
+    # the pair too, which to_json_dict would write back as 1.0, "1", true
+    for pair in [(1.0, 2), ("1", "2"), (True, 2)]:
+        match = r"^pair %s has a non-int entry$" % re.escape(repr(pair))
+        with pytest.raises(TypeError, match=match):
+            PathMultiset.from_dict({pair: 1})
+        with pytest.raises(TypeError, match=match):
+            PathMultiset.from_json_dict({"pairs": [
+                {"i": pair[0], "j": pair[1], "mult": 1}]})
+    for pair in [(0, 2), (2, 1), (2, 2)]:
+        with pytest.raises(ValueError, match=r"^pair %s is not 1 <= i < j$"
+                                             % re.escape(repr(pair))):
+            PathMultiset.from_dict({pair: 1})
+    with pytest.raises(ValueError,
+                       match=r"^negative multiplicity for pair \(1, 2\)$"):
+        PathMultiset.from_dict({(1, 2): -1})
+    with pytest.raises(TypeError, match=r"^n 3\.0 is not an int$"):
+        caterpillar(3.0)
     # gradings: a float entry is refused, not counted as 0 or 1
     for lam in [(1.5, 0.5), (2.0, 2.0)]:
         with pytest.raises(TypeError, match="non-int entry"):
@@ -113,6 +131,8 @@ def test_non_int_inputs_are_refused():
     with pytest.raises(TypeError, match=r"grading \(True, True, False\) "
                                         "has a non-int entry"):
         enumerate_gradation_elements(t, (True, True, False))
+    with pytest.raises(ValueError, match="expected 3 grading entries"):
+        enumerate_gradation_elements(t, (1, 1))
 
 
 def test_decompose_self_check_survives_optimize():
@@ -391,6 +411,12 @@ def test_enumerate_gradation_frozen():
     zero = enumerate_gradation_elements(t, [0, 0, 0, 0])
     assert len(zero) == 1
     assert zero[0].values == (0, 0, 0, 0, 0)
+    # two leaves: one element, the path taken lam_1 times, when lam_1 = lam_2
+    t2 = caterpillar(2)
+    assert [(e.values, e.decomposition.as_dict())
+            for e in enumerate_gradation_elements(t2, [3, 3])] == [
+                ((3,), {(1, 2): 3})]
+    assert enumerate_gradation_elements(t2, [1, 3]) == []
 
 
 def test_enumerate_matches_count():

@@ -72,6 +72,10 @@ def test_path_argument_validation():
         t.path(0, 2)
     with pytest.raises(ValueError):
         t.path(1, 5)
+    for leaf in (0, 5):
+        with pytest.raises(ValueError,
+                           match=r"^leaf %d out of range 1\.\.4$" % leaf):
+            t.leaf_edge(leaf)
 
 
 def test_distance_at_least_two():
