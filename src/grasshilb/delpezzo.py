@@ -21,7 +21,7 @@ checks every family row by substitution and returns exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -114,14 +114,13 @@ def divisor_family():
     return out
 
 
-@dataclass(frozen=True)
-class DelPezzoEntry:
-    divisor10: tuple
-    divisor5: tuple
-    grading: tuple
-    chi: int
-    series_coeff: int
-    status: str
+class DelPezzoEntry(namedtuple("DelPezzoEntry", "divisor10 divisor5 grading "
+                               "chi series_coeff status")):
+    """One family divisor in both bases, its grading, chi, the W_5
+    coefficient at the grading, and status "pass" when they agree, else
+    "fail"."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {"divisor10": list(self.divisor10),
@@ -132,9 +131,10 @@ class DelPezzoEntry:
                 "status": self.status}
 
 
-@dataclass(frozen=True)
-class DelPezzoReport:
-    entries: tuple
+class DelPezzoReport(namedtuple("DelPezzoReport", "entries")):
+    """The DelPezzoEntry of every family divisor, as a tuple."""
+
+    __slots__ = ()
 
     @property
     def passed(self):

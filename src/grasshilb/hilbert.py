@@ -30,8 +30,7 @@ to name the first difference of a failing check.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cache
 from itertools import combinations, compress, count, repeat
 from math import comb
@@ -64,21 +63,20 @@ _PERMUTATIONS = 5
 _PERMUTATION_SEED = 271828
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str   # "pass" | "fail" | "skip"
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name status detail")):
+    """One check of cross_validate: its name, its status ("pass", "fail"
+    or "skip") and a one-line detail."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class CrossReport:
-    n: int
-    cap: int
-    checks: tuple
+class CrossReport(namedtuple("CrossReport", "n cap checks")):
+    """What cross_validate(n, cap) found: its CheckResults as a tuple."""
+
+    __slots__ = ()
 
     @property
     def passed(self):

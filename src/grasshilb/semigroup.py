@@ -30,7 +30,7 @@ peel order, each decomposed into its canonical multiset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, combinations
 
 from .polyring import _check_int, _check_ints
@@ -46,11 +46,11 @@ class NotInSemigroupError(ValueError):
     first constraint that failed."""
 
 
-@dataclass(frozen=True)
-class PathMultiset:
-    """Multiset of leaf pairs with positive multiplicities."""
+class PathMultiset(namedtuple("PathMultiset", "counts")):
+    """Multiset of leaf pairs with positive multiplicities; counts is the
+    sorted tuple of ((i, j), mult)."""
 
-    counts: tuple  # sorted tuple of ((i, j), mult)
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, mapping):
@@ -107,10 +107,10 @@ class PathMultiset:
         return cls.from_dict({(p["i"], p["j"]): p["mult"] for p in data["pairs"]})
 
 
-@dataclass(frozen=True)
-class SemigroupElement:
-    values: tuple
-    decomposition: PathMultiset
+class SemigroupElement(namedtuple("SemigroupElement", "values decomposition")):
+    """An edge vector (values) with its canonical PathMultiset."""
+
+    __slots__ = ()
 
 
 def _check_values(tree, values):

@@ -29,11 +29,11 @@ are always ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .polyring import CapacityError, _check_int
+from .polyring import CapacityError, _check_int, _check_ints
 
 #: Most relations ideal_relations() will list (n <= 40): one object each,
 #: and C(60, 4) = 487,635 of them took 8.2 s and 858 MiB RSS as JSON.
@@ -48,32 +48,25 @@ class TreeParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class PathVector:
+class PathVector(namedtuple("PathVector", "i j indicator")):
     """Edge-indicator vector of the path between leaves i < j."""
 
-    i: int
-    j: int
-    indicator: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
-    kind: str                 # "disjoint" | "ordered" | "unordered"
-    dual: tuple | None        # the other intersecting pairing, if any
+class IntersectionResult(namedtuple("IntersectionResult", "kind dual")):
+    """How two paths meet: kind "disjoint", "ordered" or "unordered", and
+    dual the other intersecting pairing, if any, else None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdealRelation:
-    """Quadratic relation attached to a quadruple i<j<k<l, with the degree
-    of the degeneration parameter in front of its trailing monomial."""
+class IdealRelation(namedtuple("IdealRelation", "i j k l kind t_exponent")):
+    """Quadratic relation attached to a quadruple i<j<k<l, of kind "W1" or
+    "W2", with the degree t_exponent of the degeneration parameter in
+    front of its trailing monomial."""
 
-    i: int
-    j: int
-    k: int
-    l: int
-    kind: str          # "W1" | "W2"
-    t_exponent: int
+    __slots__ = ()
 
     def to_json_dict(self):
         return {"i": self.i, "j": self.j, "k": self.k, "l": self.l,
@@ -171,12 +164,13 @@ class Tree:
 
     def leaf_edge(self, i):
         """Edge number of the single edge incident to leaf i."""
-        if not 1 <= i <= self.n_leaves:
+        if not 1 <= _check_int(i, "leaf") <= self.n_leaves:
             raise ValueError("leaf %d out of range 1..%d" % (i, self.n_leaves))
         return self._adj[self.leaf_vertices[i - 1]][0][1]
 
     def path_mask(self, i, j):
         """Edge mask of the path from leaf i to leaf j; needs i < j."""
+        i, j = _check_ints((i, j), "pair")
         if not (1 <= i < j <= self.n_leaves):
             raise ValueError("need 1 <= i < j <= %d, got (%d, %d)"
                              % (self.n_leaves, i, j))
@@ -284,11 +278,11 @@ def classify_intersection(tree, pair_a, pair_b):
     (p,q),(r,s) meets it is ordered and (p,r),(q,s) unordered, otherwise
     (p,r),(q,s) is ordered and (p,s),(q,r) unordered.
     """
-    for i, j in (pair_a, pair_b):
+    a, b = _check_ints(pair_a, "pair"), _check_ints(pair_b, "pair")
+    for i, j in (a, b):
         if not (1 <= i < j <= tree.n_leaves):
             raise ValueError("pair (%d, %d) is not 1 <= i < j <= %d"
                              % (i, j, tree.n_leaves))
-    a, b = tuple(pair_a), tuple(pair_b)
     if set(a) & set(b):
         return IntersectionResult("ordered", None)
     if not tree.path_mask(*a) & tree.path_mask(*b):
@@ -318,10 +312,11 @@ def ideal_relations(tree):
         raise CapacityError("%d relations exceed the limit %d"
                             % (comb(tree.n_leaves, 4), RELATIONS_LIMIT))
     out = []
-    m = tree.path_mask
-    for i, j, k, l in combinations(range(1, tree.n_leaves + 1), 4):
-        shared = m(i, j) & m(k, l)
+    # the leaves with their masks from leaf 1, so path (i, j) is a ^ b
+    for (i, a), (j, b), (k, c), (l, d) in combinations(
+            enumerate(tree._leaf_masks, start=1), 4):
+        shared = (a ^ b) & (c ^ d)
         kind = "W1" if shared else "W2"
-        shared = shared or m(i, l) & m(j, k)
+        shared = shared or (a ^ d) & (b ^ c)
         out.append(IdealRelation(i, j, k, l, kind, 2 * shared.bit_count()))
     return out

@@ -76,6 +76,19 @@ def test_path_argument_validation():
         with pytest.raises(ValueError,
                            match=r"^leaf %d out of range 1\.\.4$" % leaf):
             t.leaf_edge(leaf)
+    # a bool read as leaf 1, a float as an index: polyring._check_int's rule
+    for leaf in (True, 2.0):
+        with pytest.raises(TypeError, match=r"^leaf %s is not an int$" % leaf):
+            t.leaf_edge(leaf)
+    for i, j in [(True, 2), (1, 2.0), (0, 2.0)]:
+        match = r"^pair \(%s, %s\) has a non-int entry$" % (i, j)
+        for call in (t.path_mask, t.path, t.distance):
+            with pytest.raises(TypeError, match=match):
+                call(i, j)
+    with pytest.raises(TypeError, match=r"^pair \(True, 3\) has a non-int"):
+        classify_intersection(t, (True, 3), (2, 4))
+    with pytest.raises(TypeError, match=r"^pair \(2, 4\.0\) has a non-int"):
+        classify_intersection(t, (1, 3), (2, 4.0))
 
 
 def test_distance_at_least_two():
