@@ -16,7 +16,10 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 a skip, not a failure; a del Pezzo fit that no quadratic form matches
 is a failure), 2 usage or parse error, 3 capacity exceeded,
 4 internal error (the traceback goes to stderr).
-Output is deterministic byte-for-byte.
+Output is deterministic byte-for-byte, and every `--format json` output
+is the text of `json.dumps(..., indent=2)`.  `series`, `numerator` and
+`relations` write it by %-templates (see `_emit_terms` and
+`_emit_records`); the other commands call json.dumps.
 `main` parses with the one parser `build_parser` returns, built on the
 first call and reused by every later call in the process.
 """
@@ -28,6 +31,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import chain
 
 from . import delpezzo, fixtures, hilbert, semigroup, trees
 from . import polyring
@@ -38,15 +42,39 @@ INDEX_NOTE = ("variables are z1..zn (1-indexed); formulations indexed "
               "from z0 correspond via z_k -> z_(k+1)")
 
 
+# One relation's row in the JSON list of `relations`, a %-format of its
+# fields in order, at the depth where the list nests it.
+_RELATION_ROW = ('    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n'
+                 '      "l": %d,\n      "kind": "%s",\n'
+                 '      "t_exponent": %d\n    }')
+
+
 def _emit(args, text_lines, json_obj):
     """Print the requested format; `text_lines` and `json_obj` are
     callables, so only that one is built.  `json_obj` returns an object
-    for json.dumps.  A polynomial or series goes through _emit_terms."""
+    for json.dumps, which writes the small objects of `dim`, `decompose`,
+    `verify` and `fixtures`.  A polynomial or series goes through
+    _emit_terms, the list of `relations` through _emit_records."""
     if args.format == "json":
         print(json.dumps(json_obj(), indent=2))
     else:
         for line in text_lines():
             print(line)
+
+
+def _emit_records(args, text_lines, frame, row, records):
+    """_emit for an object whose one list of records is a top-level
+    member, written in the idiom of polyring.iter_json_text: `frame` is
+    its JSON with %s for the list, `row` one record's template, repeated
+    and filled by one % over every record's fields (each record a flat
+    tuple); no records write "[]"."""
+    if args.format != "json":
+        return _emit(args, text_lines, None)
+    rows = "[]"
+    if records:
+        rows = "[\n%s\n  ]" % (",\n".join([row] * len(records))
+                               % tuple(chain.from_iterable(records)))
+    print(frame % rows)
 
 
 def _emit_terms(args, obj):
@@ -149,9 +177,10 @@ def cmd_decompose(args):
 def cmd_relations(args):
     tree = _load_tree(args.tree)
     relations = trees.ideal_relations(tree)
-    _emit(args, lambda: [str(rel) for rel in relations],
-          lambda: {"n_leaves": tree.n_leaves,
-                   "relations": [rel.to_json_dict() for rel in relations]})
+    _emit_records(
+        args, lambda: map(str, relations),
+        '{\n  "n_leaves": %d,\n  "relations": %%s\n}' % tree.n_leaves,
+        _RELATION_ROW, relations)
     return 0
 
 

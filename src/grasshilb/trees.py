@@ -35,8 +35,9 @@ from math import comb
 
 from .polyring import CapacityError, _check_int, _check_ints
 
-#: Most relations ideal_relations() will list (n <= 40): one object each,
-#: and C(60, 4) = 487,635 of them took 8.2 s and 858 MiB RSS as JSON.
+#: Most relations ideal_relations() will list (n <= 40), one object each.
+#: At 40 leaves (C(40, 4) = 91,390) a `relations` run in a fresh process
+#: took about 0.15 s and 55 MiB RSS as JSON, 0.23 s and 25 MiB as text.
 RELATIONS_LIMIT = 100_000
 
 

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,13 +14,13 @@ from pathlib import Path
 import pytest
 
 import grasshilb
-from grasshilb import cli, delpezzo, hilbert, polyring, semigroup
+from grasshilb import cli, delpezzo, hilbert, polyring, semigroup, trees
 from grasshilb.cli import main
 from grasshilb.polyring import from_json_dict, to_json_dict
 from grasshilb.hilbert import (numerator_symmetric_recursion,
                                series_by_recursion, series_from_numerator)
 
-from helpers import first_difference
+from helpers import first_difference, random_multiset, random_tree_text
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +289,90 @@ def test_relations_json(capsys):
     assert data["n_leaves"] == 4
     assert data["relations"] == [{"i": 1, "j": 2, "k": 3, "l": 4,
                                   "kind": "W2", "t_exponent": 2}]
+
+
+CATERPILLAR_40 = "(*," * 38 + "(*,*)" + ")" * 38  # C(40, 4) = 91,390
+
+
+def random_member(n):
+    """A seeded random n-leaf tree spec and, as --values text, the edge
+    vector of a random multiset of its paths."""
+    rng = random.Random(n)
+    spec = random_tree_text(n, rng)
+    values = random_multiset(n, rng, 12).edge_vector(trees.parse_tree(spec))
+    return spec, ",".join(map(str, values))
+
+
+@pytest.mark.parametrize("spec", [
+    random_tree_text(n, random.Random(n)) for n in range(2, 15)
+] + [CATERPILLAR_40], ids=["n%d" % n for n in range(2, 15)] + ["n40"])
+def test_relations_json_is_json_dumps_text(capsys, spec):
+    # the %-template writer against json.dumps of the records' dicts;
+    # fewer than 4 leaves give "relations": []
+    tree = trees.parse_tree(spec)
+    code, out, _ = run_cli(capsys, "relations", "--tree", spec,
+                           "--format", "json")
+    assert code == 0
+    relations = trees.ideal_relations(tree)
+    expected = json.dumps({"n_leaves": tree.n_leaves, "relations": [
+        rel.to_json_dict() for rel in relations]}, indent=2) + "\n"
+    assert first_difference(out, expected) is None
+
+
+@pytest.mark.parametrize("spec, values", [
+    ("((*,*),(*,*))", "1,1,1,1,2"),
+    ("((*,*),(*,*))", "0,0,0,0,0"),
+    ("((*,*),(*,*))", "1,0,0,0,0"),
+    ("((*,*),((*,*),*))", "0,0,1,1,1,1,0"),
+    random_member(7),
+    random_member(11),
+], ids=["member", "empty", "non-member", "odd-cherry", "random7",
+        "random11"])
+def test_decompose_json_is_json_dumps_text(capsys, spec, values):
+    # decompose's JSON, byte for byte, whichever writer makes it, and a
+    # member's decomposition read back; the all-zero vector has no pairs
+    tree = trees.parse_tree(spec)
+    edges = [int(v) for v in values.split(",")]
+    code, out, _ = run_cli(capsys, "decompose", "--tree", spec,
+                           "--values", values, "--format", "json")
+    assert code == 0
+    try:
+        multiset = semigroup.decompose(tree, edges)
+    except semigroup.NotInSemigroupError as exc:
+        expected = {"member": False, "reason": str(exc)}
+    else:
+        expected = {"member": True, "decomposition": multiset.to_json_dict()}
+        back = semigroup.PathMultiset.from_json_dict(
+            json.loads(out)["decomposition"])
+        assert back == multiset
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--n", "4", "--max-degree", "6"],
+    ["numerator", "--n", "5", "--method", "ie"],
+    ["numerator", "--n", "5", "--method", "sym"],
+    ["dim", "--n", "6", "--grading", "2,1,1,2,1,1"],
+    ["dim", "--n", "6", "--grading", "2,1,1,2,1,1", "--method", "series"],
+    ["decompose", "--tree", "((*,*),(*,*))", "--values", "1,1,1,1,2"],
+    ["decompose", "--tree", "((*,*),(*,*))", "--values", "0,0,0,0,0"],
+    ["decompose", "--tree", "((*,*),(*,*))", "--values", "1,0,0,0,0"],
+    ["relations", "--tree", "(*,*)"],
+    ["relations", "--tree", "((*,*),(*,*))"],
+    ["relations", "--tree", random_tree_text(9, random.Random(9))],
+    ["verify", "cross", "--n", "4", "--max-degree", "6"],
+    ["verify", "delpezzo"],
+    ["fixtures"],
+], ids=["series", "numerator-ie", "numerator-sym", "dim-oracle", "dim-series",
+        "decompose-member", "decompose-empty", "decompose-non-member",
+        "relations-2", "relations-4", "relations-9", "verify-cross",
+        "verify-delpezzo", "fixtures"])
+def test_every_json_output_has_json_dumps_layout(capsys, argv):
+    # whichever writer a command uses, its JSON reads back and dumps again
+    # to the same bytes, so no hand-written writer drifts from json.dumps
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_verify_cross(capsys):
