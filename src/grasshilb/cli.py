@@ -19,7 +19,7 @@ is a failure), 2 usage or parse error, 3 capacity exceeded,
 Output is deterministic byte-for-byte, and every `--format json` output
 is the text of `json.dumps(..., indent=2)`.  `series`, `numerator` and
 `relations` write it by %-templates (see `_emit_terms` and
-`_emit_records`); the other commands call json.dumps.
+`cmd_relations`); the other commands call json.dumps.
 `main` parses with the one parser `build_parser` returns, built on the
 first call and reused by every later call in the process.
 """
@@ -54,27 +54,12 @@ def _emit(args, text_lines, json_obj):
     callables, so only that one is built.  `json_obj` returns an object
     for json.dumps, which writes the small objects of `dim`, `decompose`,
     `verify` and `fixtures`.  A polynomial or series goes through
-    _emit_terms, the list of `relations` through _emit_records."""
+    _emit_terms; cmd_relations writes its own."""
     if args.format == "json":
         print(json.dumps(json_obj(), indent=2))
     else:
         for line in text_lines():
             print(line)
-
-
-def _emit_records(args, text_lines, frame, row, records):
-    """_emit for an object whose one list of records is a top-level
-    member, written in the idiom of polyring.iter_json_text: `frame` is
-    its JSON with %s for the list, `row` one record's template, repeated
-    and filled by one % over every record's fields (each record a flat
-    tuple); no records write "[]"."""
-    if args.format != "json":
-        return _emit(args, text_lines, None)
-    rows = "[]"
-    if records:
-        rows = "[\n%s\n  ]" % (",\n".join([row] * len(records))
-                               % tuple(chain.from_iterable(records)))
-    print(frame % rows)
 
 
 def _emit_terms(args, obj):
@@ -177,10 +162,15 @@ def cmd_decompose(args):
 def cmd_relations(args):
     tree = _load_tree(args.tree)
     relations = trees.ideal_relations(tree)
-    _emit_records(
-        args, lambda: map(str, relations),
-        '{\n  "n_leaves": %d,\n  "relations": %%s\n}' % tree.n_leaves,
-        _RELATION_ROW, relations)
+    if args.format == "json":
+        # _RELATION_ROW once per relation, filled by one % over every field
+        rows = ",\n".join([_RELATION_ROW] * len(relations)) % tuple(
+            chain.from_iterable(relations))
+        print('{\n  "n_leaves": %d,\n  "relations": %s\n}' % (
+            tree.n_leaves, "[\n%s\n  ]" % rows if relations else "[]"))
+    else:
+        for relation in relations:
+            print(relation)
     return 0
 
 

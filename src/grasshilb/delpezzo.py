@@ -150,9 +150,10 @@ class DelPezzoReport(namedtuple("DelPezzoReport", "entries")):
                 "entries": [e.to_json_dict() for e in self.entries]}
 
 
-def _check_series(series):
-    """Require a 5-variable series exact through the family's top degree,
-    so absent terms are never misread as zeros."""
+def _family_rows(series):
+    """(divisor10, divisor5, grading, W_5 coefficient) of each family
+    divisor.  `series` must be 5-variable and exact through the family's
+    top degree, so absent terms are never misread as zeros."""
     if series.num_vars != 5:
         raise ValueError("expected a 5-variable series")
     if series.max_total_degree is None:
@@ -162,6 +163,13 @@ def _check_series(series):
         raise PrecisionError(
             "series cap %d is below the family's top degree %d"
             % (series.max_total_degree, GRADING_CAP))
+    for d10 in divisor_family():
+        d5 = base_change(d10)  # checks the coordinates, once
+        grading = _kapranov_grading(d5)
+        if any(g < 0 for g in grading) or sum(grading) > GRADING_CAP:
+            raise AssertionError("family grading %r escaped the pinned box"
+                                 % (grading,))
+        yield d10, d5, grading, series.coefficient(grading)
 
 
 def verify_against_series(series):
@@ -170,16 +178,9 @@ def verify_against_series(series):
     `series` must be W_5 with cap >= 24; smaller caps raise
     PrecisionError up front instead of misreading absent terms as zeros.
     """
-    _check_series(series)
     entries = []
-    for d10 in divisor_family():
-        d5 = base_change(d10)  # checks the coordinates, once
-        grading = _kapranov_grading(d5)
-        if any(g < 0 for g in grading) or sum(grading) > GRADING_CAP:
-            raise AssertionError("family grading %r escaped the pinned box"
-                                 % (grading,))
+    for d10, d5, grading, coeff in _family_rows(series):
         chi = _euler_characteristic(d5)
-        coeff = series.coefficient(grading)
         status = "pass" if chi == coeff else "fail"
         entries.append(DelPezzoEntry(d10, d5, grading, chi, coeff, status))
     return DelPezzoReport(tuple(entries))
@@ -238,12 +239,9 @@ def fit_quadratic_form(series):
     Raises FamilyRankError if the family does not pin the form down and
     FitInconsistencyError if no quadratic form matches.
     """
-    _check_series(series)
     rows = {}
-    for d10 in divisor_family():
-        d5 = base_change(d10)  # checks the coordinates, once
+    for _, d5, _, rhs in _family_rows(series):
         row = _quadratic_monomial_values(d5)
-        rhs = series.coefficient(_kapranov_grading(d5))
         if row in rows and rows[row] != rhs:
             raise FitInconsistencyError(
                 "equal divisors with different series values at %r" % (d5,))

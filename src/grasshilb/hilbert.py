@@ -70,7 +70,7 @@ class CheckResult(namedtuple("CheckResult", "name status detail")):
     __slots__ = ()
 
     def to_json_dict(self):
-        return {"name": self.name, "status": self.status, "detail": self.detail}
+        return self._asdict()
 
 
 class CrossReport(namedtuple("CrossReport", "n cap checks")):

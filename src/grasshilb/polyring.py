@@ -259,10 +259,10 @@ class IntPolynomial:
     # -- arithmetic
 
     def _operand(self, other):
-        """The packed terms of `other` (an int or a store in as many
+        """The packed terms of `other` (a plain int or a store in as many
         variables) and the cap of the result; None when `other` is
         neither."""
-        if isinstance(other, int):
+        if type(other) is int:
             return ({0: other} if other else {}), self.max_total_degree
         if not isinstance(other, IntPolynomial):
             return None
@@ -288,6 +288,9 @@ class IntPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
+        # checked first: negating a bool or an IntEnum gives a plain int
+        if self._operand(other) is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -683,11 +686,13 @@ def iter_json_text(obj):
 
 
 def from_json_dict(data):
-    """Inverse of to_json_dict.  Coefficients are decimal strings; any
-    other non-int coefficient is rejected, not rounded."""
+    """Inverse of to_json_dict.  A coefficient neither an int nor a decimal
+    string is refused, not rounded; so is an exponent vector listed twice."""
     terms = {tuple(item["e"]): (int(item["c"]) if isinstance(item["c"], str)
                                 else item["c"])
              for item in data["terms"]}
+    if len(terms) != len(data["terms"]):
+        raise ValueError("terms list an exponent vector twice")
     cap = data.get("max_total_degree")
     if cap is None:
         return IntPolynomial(data["num_vars"], terms)

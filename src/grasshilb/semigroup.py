@@ -221,19 +221,6 @@ def gradation(tree, values):
     return tuple(values[tree.leaf_edge(i) - 1] for i in range(1, tree.n_leaves + 1))
 
 
-def _grading(n, lam):
-    """lam as a tuple of n entries, or None when it grades nothing (an
-    odd total or a negative entry); an entry whose type is not int raises
-    TypeError."""
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("expected %d grading entries, got %d" % (n, len(lam)))
-    _check_ints(lam, "grading")
-    if sum(lam) % 2 or min(lam, default=0) < 0:
-        return None
-    return lam
-
-
 def count_gradation(n, lam):
     """Number of multisets of pairs (i, j), i < j <= n, whose grading sum
     is lam and in which no pair embraces another (i < i' < j' < j).
@@ -332,9 +319,12 @@ def enumerate_gradation_elements(tree, lam):
     from |x1 - x2| to x1 + x2 of their parity, and the three leaves left
     must have an even sum and satisfy the triangle inequalities.
     """
-    lam = _grading(tree.n_leaves, lam)
-    if lam is None:
-        return []
+    lam = tuple(lam)
+    if len(lam) != tree.n_leaves:
+        raise ValueError("expected %d grading entries, got %d"
+                         % (tree.n_leaves, len(lam)))
+    if sum(_check_ints(lam, "grading")) % 2 or min(lam, default=0) < 0:
+        return []  # an odd total or a negative entry grades nothing
     if tree.n_leaves == 2:
         points = [(lam[0],)] if lam[0] == lam[1] else []
     else:

@@ -70,8 +70,7 @@ class IdealRelation(namedtuple("IdealRelation", "i j k l kind t_exponent")):
     __slots__ = ()
 
     def to_json_dict(self):
-        return {"i": self.i, "j": self.j, "k": self.k, "l": self.l,
-                "kind": self.kind, "t_exponent": self.t_exponent}
+        return self._asdict()
 
     def __str__(self):
         return "(%d,%d,%d,%d) %s t_exponent=%d" % (

@@ -650,6 +650,24 @@ def test_oversized_requests_exit_3_at_once(argv, reason):
     assert reason in result.stderr
 
 
+def test_closed_stdout_pipe_exits_0_quietly():
+    # a reader that stops early, like `| head -c 100`: the 4.3 MB of JSON
+    # cannot fit the pipe, so the write after the close hits a broken pipe
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grasshilb.__file__).resolve().parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "grasshilb.cli", "series", "--n", "10",
+         "--max-degree", "8", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = child.stdout.read(100)
+    assert len(head) == 100
+    assert head.startswith(b'{\n  "num_vars": 10,\n  "max_total_degree": 8,')
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 0
+    assert err == b""
+
+
 def test_series_at_a_small_odd_cap_is_answered(capsys):
     # W_n has terms only in even degree, so the recursion's key-slot guard
     # counts only those cells: through degree 1, W_1000 is the constant 1

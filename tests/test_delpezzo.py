@@ -188,6 +188,14 @@ def test_solve_exact_rank_deficient():
         _solve_exact(matrix, 2)
 
 
+def test_exact_quotient_refuses_a_remainder():
+    assert delpezzo._exact_quotient(-8, 2) == -4
+    with pytest.raises(ArithmeticError,
+                       match="^fraction-free elimination: 7 is not a "
+                             "multiple of 2$"):
+        delpezzo._exact_quotient(7, 2)
+
+
 def test_solve_exact_inconsistent():
     matrix = [[Fraction(1), Fraction(0), Fraction(1)],
               [Fraction(0), Fraction(1), Fraction(1)],

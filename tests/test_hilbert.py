@@ -205,6 +205,8 @@ def test_numerator_ie_golden():
     for n in GOLDEN_RANGE:
         result = numerator_inclusion_exclusion(n)
         assert result == golden_numerator(n)
+    with pytest.raises(KeyError, match="no reference numerator for n=6"):
+        golden_numerator(6)
     assert format_terms(numerator_inclusion_exclusion(4)) == \
         "1 - z1*z2*z3*z4"
     # fewer than four leaves exclude nothing, with or without a tree

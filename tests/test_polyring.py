@@ -142,6 +142,21 @@ def test_int_coercion():
     assert p + 0 == p
     assert 1 + p == p + IntPolynomial.one(3)
     assert 2 * p == p + p
+    assert 1 - p == IntPolynomial.one(3) + -p
+    assert p - 1 == p + -1
+
+
+def test_operators_take_only_plain_ints():
+    # True would act as 1 and an int subclass as its value
+    p = IntPolynomial.one(2)
+    s = TruncatedSeries(2, 3, {(0, 0): 1})
+    for bad in (True, _Int(3), 1.0, "x"):
+        for obj in (p, s):
+            for call in (lambda: obj + bad, lambda: bad + obj,
+                         lambda: obj - bad, lambda: bad - obj,
+                         lambda: obj * bad, lambda: bad * obj):
+                with pytest.raises(TypeError):
+                    call()
 
 
 def test_total_degree():
@@ -475,6 +490,32 @@ def test_coefficient_at():
             with pytest.raises(TypeError, match=r"^grading %s has a non-int "
                                "entry$" % re.escape(repr(exps))):
                 obj.coefficient(exps)
+
+
+def test_from_json_dict_refuses_a_repeated_exponent_vector():
+    # a dict keeps the last of the two, so it would read as 2*z1
+    data = {"num_vars": 1, "max_total_degree": None,
+            "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]}
+    with pytest.raises(ValueError,
+                       match="^terms list an exponent vector twice$"):
+        from_json_dict(data)
+    data["max_total_degree"] = 3
+    with pytest.raises(ValueError, match="exponent vector twice"):
+        from_json_dict(data)
+
+
+def test_store_protocol():
+    p = IntPolynomial(2, {(0, 0): -1, (1, 1): 2})
+    s = TruncatedSeries(2, 4, {(0, 0): 1, (2, 0): 3})
+    assert repr(p) == "IntPolynomial(2, -1 + 2*z1*z2)"
+    assert repr(s) == "TruncatedSeries(2, 4, 2 terms)"
+    for obj in (p, s):
+        assert str(obj) == format_terms(obj)
+        with pytest.raises(AttributeError, match="is immutable$"):
+            obj.num_vars = 3
+        with pytest.raises(DimensionError,
+                           match="^grading has 3 entries, expected 2$"):
+            obj.coefficient((0, 0, 0))
 
 
 def test_json_round_trip_polynomial():

@@ -180,6 +180,28 @@ def test_tree_validation():
              ["a", "b", "c", "d"])
 
 
+def test_tree_constructor_refusals():
+    with pytest.raises(ValueError, match="^a tree needs at least 2 leaves$"):
+        Tree(1, [], ["a"])
+    # three edges, as three leaves need, but a triangle of three vertices
+    with pytest.raises(ValueError, match="^expected 4 vertices, got 3$"):
+        Tree(3, [("a", "b"), ("b", "c"), ("c", "a")], ["a", "b", "c"])
+    # a star: the inner vertex u has degree 5 and v is a dead end
+    with pytest.raises(ValueError,
+                       match="^vertex 'u' has degree 5, expected 3$"):
+        Tree(4, [("a", "u"), ("b", "u"), ("c", "u"), ("d", "u"), ("u", "v")],
+             ["a", "b", "c", "d"])
+
+
+def test_classify_refuses_an_out_of_range_pair():
+    t = caterpillar(4)
+    for a, b, bad in [((1, 5), (2, 3), "1, 5"), ((1, 3), (0, 2), "0, 2"),
+                      ((1, 3), (4, 2), "4, 2")]:
+        with pytest.raises(ValueError,
+                           match=r"^pair \(%s\) is not 1 <= i < j <= 4$" % bad):
+            classify_intersection(t, a, b)
+
+
 def test_classify_frozen_examples():
     t = caterpillar(4)
     r = classify_intersection(t, (1, 4), (2, 3))
